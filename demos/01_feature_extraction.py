@@ -1,15 +1,15 @@
 """Walk through the invariant feature pipeline on one synthetic clip.
 
-Shows each stage (normalization volume, temporal reference image, deviation
-statistics, ring centroids, final z-scored feature) and demonstrates the
-exact symmetry invariance that makes the feature useful: flipping or
-rotating every frame leaves it numerically unchanged.
+Shows the normalization volume, the temporal reference image, the ring
+partition the centroids are taken over, and the final z-scored feature, then
+demonstrates the exact symmetry invariance that makes the feature useful:
+flipping or rotating every frame leaves it numerically unchanged.
 """
 
 import numpy as np
 
 from zw3d.corpus import make_clip
-from zw3d.features import compute_tiri, extract_feature, normalize_deviation, tiri_deviation
+from zw3d.features import DISCARD, compute_tiri, extract_feature, ring_labels
 from zw3d.frameio import FrameSequence, normalize_clip
 
 seq2d, seqdep = make_clip(seed=7, frames=64, size=96)
@@ -22,10 +22,10 @@ print(f"normalized volume: {clip.volume.shape}, range "
 tiri = compute_tiri(clip.volume)
 print(f"temporal reference image: mean {tiri.mean():.4f}, std {tiri.std():.4f}")
 
-dev = tiri_deviation(clip.volume, tiri)
-norm = normalize_deviation(dev, tiri)
-print(f"deviations: mean {dev[1:-1, 1:-1].mean():.4f}; "
-      f"normalized range [{norm.min():.4f}, {norm.max():.4f}] (<= pi/2)")
+labels = ring_labels()
+sizes = np.bincount(labels[labels != DISCARD])
+print(f"rings: {sizes.size}, pixels per ring {sizes.min()}..{sizes.max()}, "
+      f"{np.count_nonzero(labels == DISCARD)} pixels outside the last ring")
 
 feature = extract_feature(clip)
 print(f"feature: {feature.values.shape[0]} values, mean {feature.values.mean():+.1e}, "

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .frameio import FrameSequence
+from .frameio import FrameSequence, bilinear_matrix
 
 STOCHASTIC_FAMILIES = ("gn", "fr", "fd")
 
@@ -215,20 +215,11 @@ def _logo(frame, size):
 
 
 def _resize_frame(frame, factor):
-    from .frameio import resize_bilinear
-
     h = max(1, int(np.rint(frame.shape[0] / factor)))
     w = max(1, int(np.rint(frame.shape[1] / factor)))
-
-    def go(ch):
-        return resize_bilinear(ch, h, w)
-
-    f = frame.astype(np.float64)
-    if f.ndim == 2:
-        out = go(f)
-    else:
-        out = np.stack([go(f[:, :, c]) for c in range(f.shape[2])], axis=2)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    m_y = bilinear_matrix(frame.shape[0], h)
+    m_x = bilinear_matrix(frame.shape[1], w)
+    return _per_channel(frame, lambda ch: m_y @ ch @ m_x.T)
 
 
 def _crop(frame, fraction):
@@ -262,12 +253,7 @@ def _rotate(frame, angle):
         bot = ch[y1, x0] * (1 - fx) + ch[y1, x1] * fx
         return np.where(inside, top * (1 - fy) + bot * fy, 0.0)
 
-    f = frame.astype(np.float64)
-    if f.ndim == 2:
-        out = go(f)
-    else:
-        out = np.stack([go(f[:, :, c]) for c in range(f.shape[2])], axis=2)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return _per_channel(frame, go)
 
 
 def _flip(frame, direction):

@@ -57,13 +57,6 @@ EXIT_IO = 3
 EXIT_SHAPE = 4
 EXIT_UNKNOWN_ID = 5
 
-# pipeline constants, fixed by the feature geometry (read-only)
-RING_WIDTH = 10
-RING_COUNT = 16
-TIRI_STRIDE = 5
-TIRI_DECAY = 1.0
-
-
 def _read_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -88,12 +81,11 @@ def _setting(args, config: dict, name: str, cast, default=None):
     return default
 
 
-def _clip_features(args):
-    seq2d = load_clip(args.clip_2d, "2d")
-    seqdep = load_clip(args.clip_depth, "depth")
+def _clip_features(clip_2d, clip_depth):
+    """Load, normalize and extract both channels of a 2D+depth clip pair."""
     return (
-        extract_feature(normalize_clip(seq2d)),
-        extract_feature(normalize_clip(seqdep)),
+        extract_feature(normalize_clip(load_clip(clip_2d, "2d"))),
+        extract_feature(normalize_clip(load_clip(clip_depth, "depth"))),
     )
 
 
@@ -120,7 +112,7 @@ def _thresholds(args, config: dict) -> Thresholds:
 # ---------------------------------------------------------------------------
 
 def cmd_register(args, config) -> int:
-    fn2d, fndep = _clip_features(args)
+    fn2d, fndep = _clip_features(args.clip_2d, args.clip_depth)
     w2d = load_watermark(args.watermark_2d)
     wdep = load_watermark(args.watermark_depth)
     o2d = build_ownership_share(build_master_share(rearrange(binarize_feature(fn2d))), w2d)
@@ -134,7 +126,7 @@ def cmd_register(args, config) -> int:
 
 def cmd_query(args, config) -> int:
     th = _thresholds(args, config)
-    fn2d, fndep = _clip_features(args)
+    fn2d, fndep = _clip_features(args.clip_2d, args.clip_depth)
     with Registry(args.db, "r") as db:
         results = match_query(fn2d, fndep, db, th, mode=args.mode)
     writer = csv.writer(sys.stdout)
@@ -148,7 +140,7 @@ def cmd_query(args, config) -> int:
 def cmd_identify(args, config) -> int:
     if not args.auto and not args.id:
         raise ValueError("identify needs --id or --auto")
-    fn2d, fndep = _clip_features(args)
+    fn2d, fndep = _clip_features(args.clip_2d, args.clip_depth)
     with Registry(args.db, "r") as db:
         if args.auto:
             th = _thresholds(args, config)
@@ -245,9 +237,7 @@ def _scan_attacked_corpus(corpus_dir: Path):
             depth = attack_dir / "depth"
             if not (two_d.is_dir() and depth.is_dir()):
                 continue
-            fn2d = extract_feature(normalize_clip(load_clip(two_d, "2d")))
-            fndep = extract_feature(normalize_clip(load_clip(depth, "depth")))
-            yield clip_dir.name, attack_dir.name, fn2d, fndep
+            yield (clip_dir.name, attack_dir.name, *_clip_features(two_d, depth))
 
 
 def cmd_eval_ber(args, config) -> int:

@@ -11,13 +11,13 @@ averaging and arctan normalization buy robustness against noise, filtering,
 and global intensity changes.
 
 The production geometry is a 320x320x100 volume, 16 rings of width 10, and a
-16x100 = 1600-dimensional feature. All stages also run on reduced geometries
-for cross-checking against brute-force implementations.
+16x100 = 1600-dimensional feature. ``extract_feature`` is the one
+implementation of the pipeline; it also runs on reduced geometries, where the
+tests compare it against the plain-loop reference in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,92 +90,18 @@ def compute_tiri(volume: np.ndarray, params: FeatureParams = DEFAULT_PARAMS) -> 
     return acc / w.sum()
 
 
-def tiri_deviation(volume: np.ndarray, tiri: np.ndarray) -> np.ndarray:
-    """Per-frame maximal absolute difference against reference 8-neighborhoods.
-
-    For each interior pixel, the deviation is the largest |tiri(neighbor) -
-    frame(pixel)| over the pixel's 8 neighbors in the reference image. Border
-    rows/columns have no full neighborhood; they are left at zero and must be
-    excluded by downstream consumers (see ``interior_mask``).
-    """
-    shifts = (
-        tiri[:-2, :-2], tiri[:-2, 1:-1], tiri[:-2, 2:],
-        tiri[1:-1, :-2], tiri[1:-1, 2:],
-        tiri[2:, :-2], tiri[2:, 1:-1], tiri[2:, 2:],
-    )
-    nbr_max = np.maximum.reduce(shifts)
-    nbr_min = np.minimum.reduce(shifts)
-    inner = volume[1:-1, 1:-1, :]
-    # max over neighbors a of |a - x| is max(max_a - x, x - min_a)
-    dev_inner = np.maximum(nbr_max[:, :, None] - inner, inner - nbr_min[:, :, None])
-    dev = np.zeros_like(volume)
-    dev[1:-1, 1:-1, :] = dev_inner
-    return dev
-
-
-def normalize_deviation(dev: np.ndarray, tiri: np.ndarray) -> np.ndarray:
-    """arctan(deviation / reference) in [0, pi/2].
-
-    Zero reference pixels take the limit convention: 0 where the deviation is
-    also 0, pi/2 otherwise.
-    """
-    t = np.broadcast_to(tiri[:, :, None] if dev.ndim == 3 else tiri, dev.shape)
-    ratio = np.zeros_like(dev)
-    np.divide(dev, t, out=ratio, where=t > 0)
-    out = np.arctan(ratio)
-    out[(t == 0) & (dev > 0)] = math.pi / 2
-    return out
-
-
-def interior_mask(params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Boolean mask of pixels whose 8-neighborhood is fully inside the frame."""
-    m = np.zeros((params.size, params.size), dtype=bool)
-    m[1:-1, 1:-1] = True
-    return m
-
-
-def ring_index(i: float, j: float, params: FeatureParams = DEFAULT_PARAMS) -> int:
-    """Ring number of 1-based pixel (i, j), or DISCARD outside the last ring.
+def ring_labels(params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Ring number per pixel as an int array; DISCARD outside the last ring.
 
     Ring n covers the half-open annulus n*r <= Dist < (n+1)*r around the
     frame's geometric center.
     """
-    c = params.center
-    dist = math.hypot(i - c, j - c)
-    n = int(dist // params.ring_width)
-    return n if n < params.ring_count else DISCARD
-
-
-def ring_labels(params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Ring number per pixel as an int array; DISCARD outside the last ring."""
     c = params.center - 1.0  # 0-based center
     ax = np.arange(params.size, dtype=np.float64) - c
     dist = np.hypot(ax[:, None], ax[None, :])
     labels = np.floor(dist / params.ring_width).astype(np.int64)
     labels[labels >= params.ring_count] = DISCARD
     return labels
-
-
-def ring_centroids(
-    norm: np.ndarray, tiri: np.ndarray, params: FeatureParams = DEFAULT_PARAMS
-) -> np.ndarray:
-    """Reference-weighted mean of normalized deviations per (ring, frame).
-
-    Border pixels and pixels outside the last ring are excluded from both
-    sums; rings whose weight sum is zero yield 0. Output is flattened
-    frame-major: entry k*N + n is ring n of frame k.
-    """
-    n_rings, n_frames = params.ring_count, norm.shape[2]
-    labels = ring_labels(params)
-    valid = (labels >= 0) & interior_mask(params)
-    lab = labels[valid]
-    w = tiri[valid]
-    denom = np.bincount(lab, weights=w, minlength=n_rings)
-    v = np.zeros((n_rings, n_frames), dtype=np.float64)
-    for k in range(n_frames):
-        num = np.bincount(lab, weights=w * norm[:, :, k][valid], minlength=n_rings)
-        np.divide(num, denom, out=v[:, k], where=denom > 0)
-    return v.T.ravel()
 
 
 def zscore(f: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -196,14 +122,16 @@ _PLAN_CACHE: dict[FeatureParams, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _ring_plan(params: FeatureParams):
-    """Flat indices of ring-valid interior pixels, sorted by ring.
+    """Flat indices of interior pixels inside the last ring, sorted by ring.
 
     Returns (flat pixel indices, segment starts per ring, pixel count per
     ring); cached per params since the geometry is fixed.
     """
     if params not in _PLAN_CACHE:
         labels = ring_labels(params)
-        valid = (labels >= 0) & interior_mask(params)
+        valid = labels >= 0
+        # border pixels lack a full 8-neighborhood in the reference image
+        valid[[0, -1], :] = valid[:, [0, -1]] = False
         flat = np.flatnonzero(valid.ravel())
         lab = labels.ravel()[flat]
         order = np.argsort(lab, kind="stable")
@@ -221,11 +149,16 @@ def extract_feature(
 ) -> FeatureVector:
     """Full pipeline: reference image, deviations, arctan, centroids, z-score.
 
-    Numerically this is the composition compute_tiri -> tiri_deviation ->
-    normalize_deviation -> ring_centroids -> zscore, but it gathers only the
-    ring-valid interior pixels once and reduces rings with contiguous
-    segment sums, which reorders additions (differences stay at float
-    rounding level, ~1e-15).
+    For each interior pixel p inside the last ring and each frame k, the
+    deviation is the largest |tiri(a) - volume(p, k)| over the 8 neighbors a
+    of p in the reference image ``compute_tiri``. It is normalized to
+    arctan(deviation / tiri(p)), and the centroid of ring n in frame k is the
+    tiri-weighted mean of those values over the ring (0 for a ring of zero
+    weight). The frame-major centroids are z-scored. A pixel whose reference
+    is 0 has weight 0, so its arctan value never counts.
+
+    Only the ring-valid interior pixels are gathered, once, and rings are
+    reduced with contiguous segment sums.
     """
     if isinstance(clip, NormalizedClip):
         volume, role = clip.volume, clip.role
@@ -255,13 +188,8 @@ def extract_feature(
     np.maximum(dev, r, out=dev)
 
     t = tiri.ravel()[flat]
-    zero_rows = np.flatnonzero(t <= 0)
-    dev_at_zero = dev[zero_rows].copy() if zero_rows.size else None
-    np.divide(dev, t[:, None], out=dev, where=(t > 0)[:, None])
+    np.divide(dev, t[:, None], out=dev, where=(t != 0)[:, None])
     np.arctan(dev, out=dev)
-    if zero_rows.size:
-        dev[zero_rows] = np.where(dev_at_zero > 0, math.pi / 2, 0.0)
-
     np.multiply(dev, t[:, None], out=dev)
     reduce_at = np.minimum(starts, max(flat.size - 1, 0))
     num = np.add.reduceat(dev, reduce_at, axis=0)
@@ -273,12 +201,3 @@ def extract_feature(
     fn, degenerate = zscore(v.T.ravel())
     return FeatureVector(values=fn, role=role, degenerate=degenerate)
 
-
-def dump_debug(path, tiri: np.ndarray, f: np.ndarray) -> None:
-    """Write the reference image and raw centroid vector as little-endian f64."""
-    from pathlib import Path
-
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    tiri.astype("<f8").tofile(path / "tiri.f64")
-    np.asarray(f, dtype="<f8").tofile(path / "centroids.f64")

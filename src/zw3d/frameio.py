@@ -4,7 +4,9 @@ Clips live on disk as directories of binary netpbm frames (PGM ``P5`` for
 grayscale/depth, PPM ``P6`` for color), named ``frame_%06d.pgm|ppm`` starting
 at 000000 with no gaps. Every clip is normalized to a fixed 320x320x100
 luminance volume in [0, 1] before feature extraction, so the rest of the
-pipeline never sees the source geometry.
+pipeline never sees the source geometry. The spatial resampling (bilinear
+resize, then a 3x3 Gaussian) is one linear operator per axis, applied to
+each distinct picked frame as a pair of matrix products.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class FrameSequence:
         if not self.frames:
             raise FrameFormatError("empty frame sequence")
         shape = self.frames[0].shape
+        if 0 in shape[:2]:
+            raise FrameFormatError(f"frames have zero size {shape[1]}x{shape[0]}")
         for k, f in enumerate(self.frames):
             if f.shape != shape:
                 raise FrameFormatError("mixed dimensions in frame sequence")
@@ -254,32 +258,31 @@ def _resample_axis(n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray, np.n
     return lo, hi, x - lo
 
 
-def _resize_stack(stack: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of a (n, h, w) stack along its spatial axes."""
-    y0, y1, fy = _resample_axis(stack.shape[1], out_h)
-    x0, x1, fx = _resample_axis(stack.shape[2], out_w)
-    rows = stack[:, y0, :] * (1.0 - fy)[None, :, None] + stack[:, y1, :] * fy[None, :, None]
-    return rows[:, :, x0] * (1.0 - fx)[None, None, :] + rows[:, :, x1] * fx[None, None, :]
+def bilinear_matrix(n_src: int, n_dst: int) -> np.ndarray:
+    """(n_dst, n_src) operator of the ``_resample_axis`` plan.
+
+    ``bilinear_matrix(h, H) @ img @ bilinear_matrix(w, W).T`` is the bilinear
+    resize of an (h, w) image to (H, W); each row holds at most two
+    non-negative weights summing to 1.
+    """
+    lo, hi, frac = _resample_axis(n_src, n_dst)
+    m = np.zeros((n_dst, n_src), dtype=np.float64)
+    rows = np.arange(n_dst)
+    m[rows, lo] += 1.0 - frac
+    m[rows, hi] += frac
+    return m
 
 
-def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of a 2-D float image (separable, center-aligned)."""
-    return _resize_stack(np.asarray(img, dtype=np.float64)[None], out_h, out_w)[0]
-
-
-def _smooth_stack(stack: np.ndarray, sigma: float = 0.5) -> np.ndarray:
-    """3x3 separable Gaussian over the spatial axes of a (n, h, w) stack."""
+def _gaussian3_matrix(n: int, sigma: float = 0.5) -> np.ndarray:
+    """(n, n) operator of the 1-D factor of the 3x3 Gaussian, replicate borders."""
     w = math.exp(-1.0 / (2.0 * sigma * sigma))
     k = np.array([w, 1.0, w], dtype=np.float64)
     k /= k.sum()
-    p = np.pad(stack, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    tmp = k[0] * p[:, :-2, :] + k[1] * p[:, 1:-1, :] + k[2] * p[:, 2:, :]
-    return k[0] * tmp[:, :, :-2] + k[1] * tmp[:, :, 1:-1] + k[2] * tmp[:, :, 2:]
-
-
-def smooth_gaussian3(img: np.ndarray, sigma: float = 0.5) -> np.ndarray:
-    """3x3 separable Gaussian with replicate borders."""
-    return _smooth_stack(np.asarray(img, dtype=np.float64)[None], sigma)[0]
+    g = np.zeros((n, n), dtype=np.float64)
+    rows = np.arange(n)
+    for offset, weight in zip((-1, 0, 1), k):
+        g[rows, np.clip(rows + offset, 0, n - 1)] += weight
+    return g
 
 
 def temporal_indices(n_src: int, n_dst: int = VOLUME_FRAMES) -> np.ndarray:
@@ -295,19 +298,24 @@ def normalize_clip(seq: FrameSequence, smooth: bool = True) -> NormalizedClip:
     luminance first; grayscale frames, including depth maps, are scaled by
     1/255. ``smooth=False`` skips the Gaussian so identity-shaped inputs
     round-trip bit-for-bit (test hook).
+
+    Resize and Gaussian are linear and separable, so each axis is one matrix
+    built once per clip and every distinct picked frame costs two matmuls,
+    ``m_y @ plane @ m_x.T``; only one source plane is held at a time.
     """
+    m_y = bilinear_matrix(seq.height, VOLUME_SIZE)
+    m_x = bilinear_matrix(seq.width, VOLUME_SIZE)
+    if smooth:
+        g = _gaussian3_matrix(VOLUME_SIZE)
+        m_y, m_x = g @ m_y, g @ m_x
     picks = temporal_indices(len(seq))
     volume = np.empty((VOLUME_SIZE, VOLUME_SIZE, VOLUME_FRAMES), dtype=np.float64)
-    cache: dict[int, np.ndarray] = {}
-    for slot, src in enumerate(picks):
-        src = int(src)
-        if src not in cache:
-            frame = seq.frames[src]
-            plane = to_luminance(frame) if frame.ndim == 3 else frame.astype(np.float64) / 255.0
-            plane = resize_bilinear(plane, VOLUME_SIZE, VOLUME_SIZE)
-            if smooth:
-                plane = smooth_gaussian3(plane)
-            cache[src] = plane
-        volume[:, :, slot] = cache[src]
-    np.clip(volume, 0.0, 1.0, out=volume)
+    # picks never decrease, so each distinct source frame fills one run of slots
+    starts = np.flatnonzero(np.diff(picks, prepend=-1))
+    for start, stop in zip(starts, np.append(starts[1:], VOLUME_FRAMES)):
+        frame = seq.frames[picks[start]]
+        plane = to_luminance(frame) if frame.ndim == 3 else frame.astype(np.float64) / 255.0
+        plane = m_y @ plane @ m_x.T
+        np.clip(plane, 0.0, 1.0, out=plane)
+        volume[:, :, start:stop] = plane[:, :, None]
     return NormalizedClip(volume=volume, role=seq.role)

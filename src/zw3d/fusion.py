@@ -183,16 +183,7 @@ def calibrate_thresholds(db, target_pfp: float = 0.01, gamma: float = 0.1) -> Th
     Uses all pairwise distances between features of distinct registered clips
     and the zero-anchored interpolated quantile above. Needs >= 2 records.
     """
-    features = [(fn2d, fndep) for _, fn2d, fndep in db.iterate_features()]
-    if len(features) < 2:
-        raise ValueError("calibration needs at least 2 registered clips")
-    d2d, ddep, dfus = pairwise_distances(features, gamma)
-    return Thresholds(
-        t_2d=zero_anchored_quantile(d2d, target_pfp),
-        t_depth=zero_anchored_quantile(ddep, target_pfp),
-        t_fusion=zero_anchored_quantile(dfus, target_pfp),
-        gamma=gamma,
-    )
+    return calibration_report(db, target_pfp, gamma)[0]
 
 
 def calibration_report(db, target_pfp: float = 0.01, gamma: float = 0.1):

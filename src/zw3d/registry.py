@@ -167,7 +167,10 @@ class Registry:
                 raise RegistryCorruptError(f"{self.path}: truncated record at {offset}")
             (id_len,) = struct.unpack("<H", raw_len)
             rec_len = 2 + id_len + 2 * _FEATURE_BYTES + 2 * _SHARE_BYTES + 2 * _WM_BYTES + 4
-            rid = self._fh.read(id_len).decode("utf-8")
+            try:
+                rid = self._fh.read(id_len).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise RegistryCorruptError(f"{self.path}: bad record id at {offset}") from e
             if rid in self._ids:
                 raise RegistryCorruptError(f"{self.path}: duplicate id {rid!r}")
             self._ids[rid] = offset
@@ -181,24 +184,32 @@ class Registry:
 
     def _read_record_raw(self, offset: int) -> bytes:
         self._fh.seek(offset)
-        (id_len,) = struct.unpack("<H", self._fh.read(2))
+        raw_len = self._fh.read(2)
+        if len(raw_len) != 2:
+            raise RegistryCorruptError(f"{self.path}: truncated record at offset {offset}")
+        (id_len,) = struct.unpack("<H", raw_len)
         body_len = 2 + id_len + 2 * _FEATURE_BYTES + 2 * _SHARE_BYTES + 2 * _WM_BYTES
         self._fh.seek(offset)
         body = self._fh.read(body_len)
-        (crc_stored,) = struct.unpack("<I", self._fh.read(4))
-        if len(body) != body_len or zlib.crc32(body) != crc_stored:
+        raw_crc = self._fh.read(4)
+        if len(body) != body_len or len(raw_crc) != 4:
+            raise RegistryCorruptError(f"{self.path}: truncated record at offset {offset}")
+        if zlib.crc32(body) != struct.unpack("<I", raw_crc)[0]:
             raise RegistryCorruptError(f"{self.path}: checksum mismatch at offset {offset}")
         return body
 
+    @staticmethod
+    def _features(body: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """(fn_2d, fn_depth) sliced out of a record body, in writable memory."""
+        (id_len,) = struct.unpack_from("<H", body, 0)
+        both = np.frombuffer(body, dtype="<f8", count=2 * FEATURE_DIM, offset=2 + id_len).copy()
+        return both[:FEATURE_DIM], both[FEATURE_DIM:]
+
     def _decode(self, body: bytes) -> RegistrationRecord:
         (id_len,) = struct.unpack_from("<H", body, 0)
-        pos = 2
-        rid = body[pos : pos + id_len].decode("utf-8")
-        pos += id_len
-        fn2d = np.frombuffer(body, dtype="<f8", count=FEATURE_DIM, offset=pos).copy()
-        pos += _FEATURE_BYTES
-        fndep = np.frombuffer(body, dtype="<f8", count=FEATURE_DIM, offset=pos).copy()
-        pos += _FEATURE_BYTES
+        rid = body[2 : 2 + id_len].decode("utf-8")
+        fn2d, fndep = self._features(body)
+        pos = 2 + id_len + 2 * _FEATURE_BYTES
         o2d = _unpack_bits(body[pos : pos + _SHARE_BYTES], SHARE_SIDE)
         pos += _SHARE_BYTES
         odep = _unpack_bits(body[pos : pos + _SHARE_BYTES], SHARE_SIDE)
@@ -258,8 +269,7 @@ class Registry:
         """Yield (id, fn_2d, fn_depth) for every record in insertion order."""
         self._check_open()
         for rid in self._order:
-            rec = self._decode(self._read_record_raw(self._ids[rid]))
-            yield rid, rec.fn_2d, rec.fn_depth
+            yield (rid, *self._features(self._read_record_raw(self._ids[rid])))
 
     def close(self):
         if not self._closed:

@@ -1,7 +1,9 @@
-"""Brute-force reference implementation of the feature pipeline.
+"""Brute-force reference implementation of frame resampling and the feature
+pipeline.
 
 Deliberately written as plain Python loops with no vectorization so it cannot
-share bugs with the production code. Only used on reduced geometries.
+share bugs with the production code. The feature stages are only used on
+reduced geometries, the resampling on single frames.
 """
 
 import math
@@ -102,3 +104,39 @@ def brute_extract(volume, params):
     f = brute_centroids(norm, tiri, params)
     fn, degenerate = brute_zscore(f)
     return fn, degenerate
+
+
+def brute_resample(plane, size, smooth, sigma=0.5):
+    """One frame plane resampled to size x size: center-aligned bilinear,
+    then (when ``smooth``) the 3x3 Gaussian with replicate borders."""
+    h, w = len(plane), len(plane[0])
+
+    def taps(n_src, x):
+        s = (x + 0.5) * n_src / size - 0.5
+        s = min(max(s, 0.0), n_src - 1.0)
+        lo = int(math.floor(s))
+        return lo, min(lo + 1, n_src - 1), s - lo
+
+    rows = [taps(h, y) for y in range(size)]
+    cols = [taps(w, x) for x in range(size)]
+    out = [[0.0] * size for _ in range(size)]
+    for y, (y0, y1, fy) in enumerate(rows):
+        for x, (x0, x1, fx) in enumerate(cols):
+            top = plane[y0][x0] * (1 - fx) + plane[y0][x1] * fx
+            bot = plane[y1][x0] * (1 - fx) + plane[y1][x1] * fx
+            out[y][x] = top * (1 - fy) + bot * fy
+    if not smooth:
+        return np.array(out)
+    e = math.exp(-1.0 / (2.0 * sigma * sigma))
+    k = {-1: e / (1 + 2 * e), 0: 1 / (1 + 2 * e), 1: e / (1 + 2 * e)}
+    last = size - 1
+    smoothed = [[0.0] * size for _ in range(size)]
+    for y in range(size):
+        for x in range(size):
+            acc = 0.0
+            for a in (-1, 0, 1):
+                row = out[min(max(y + a, 0), last)]
+                for b in (-1, 0, 1):
+                    acc += k[a] * k[b] * row[min(max(x + b, 0), last)]
+            smoothed[y][x] = acc
+    return np.array(smoothed)

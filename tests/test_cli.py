@@ -102,6 +102,33 @@ def test_register_missing_dir_exit_3(corpus, tmp_path):
     assert code == 3
 
 
+def test_query_zero_size_frames_exit_3(corpus, registered, tmp_path):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for k in range(2):
+        (bad / f"frame_{k:06d}.pgm").write_bytes(b"P5\n0 4\n255\n")
+    code, _, err = run_cli(
+        "query", "--db", registered, "--clip-2d", bad,
+        "--clip-depth", corpus / "clip000" / "depth",
+        "--t-2d", 0.1, "--t-depth", 0.1, "--t-fusion", 0.1,
+    )
+    assert code == 3
+    assert "zero size" in err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "bad_id_byte"])
+def test_calibrate_corrupt_registry_exit_3(registered, tmp_path, damage):
+    raw = bytearray(registered.read_bytes())
+    if damage == "truncate":
+        raw = raw[:-100]
+    else:
+        raw[16] = 0xFF  # first byte of the first record's id
+    db = tmp_path / "damaged.zw3d"
+    db.write_bytes(bytes(raw))
+    code, _, err = run_cli("calibrate", "--db", db, "--out", tmp_path / "t.csv")
+    assert code == 3, err
+
+
 def test_calibrate_report(thresholds_csv):
     with open(thresholds_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -5,19 +5,22 @@ import pytest
 
 from zw3d.features import (
     DISCARD,
+    DEFAULT_PARAMS,
     FeatureParams,
     compute_tiri,
     extract_feature,
-    normalize_deviation,
-    ring_centroids,
-    ring_index,
     ring_labels,
-    tiri_deviation,
     zscore,
 )
 from zw3d.fusion import feature_distance
 
-from oracle import brute_deviation, brute_extract
+from oracle import (
+    brute_centroids,
+    brute_deviation,
+    brute_extract,
+    brute_normalize,
+    brute_ring,
+)
 
 SMALL = FeatureParams(size=20, frames=4, ring_count=5, ring_width=2.0,
                       tiri_stride=1, tiri_samples=4)
@@ -49,45 +52,37 @@ def test_tiri_unit_decay_is_plain_average():
     np.testing.assert_allclose(compute_tiri(vol), expected, atol=1e-12)
 
 
-# -- deviations ------------------------------------------------------------------
+# -- the oracle's stages, pinned by hand-worked values ----------------------------
+# extract_feature is checked against these stages in the pipeline tests below.
 
 def test_deviation_zero_for_constant():
     vol = np.full((20, 20, 4), 0.3)
     tiri = np.full((20, 20), 0.3)
-    assert tiri_deviation(vol, tiri).max() == 0.0
+    assert brute_deviation(vol, tiri).max() == 0.0
 
 
 def test_deviation_single_pixel():
     vol = np.zeros((20, 20, 4))
     vol[7, 9, 2] = 1.0
     tiri = np.zeros((20, 20))
-    dev = tiri_deviation(vol, tiri)
+    dev = brute_deviation(vol, tiri)
     assert dev[7, 9, 2] == 1.0
+    assert np.count_nonzero(dev) == 1
 
-
-def test_deviation_matches_brute_force():
-    rng = np.random.default_rng(1)
-    vol = rng.random((6, 6, 3))
-    tiri = rng.random((6, 6))
-    np.testing.assert_allclose(tiri_deviation(vol, tiri), brute_deviation(vol, tiri),
-                               atol=1e-15)
-
-
-# -- arctan normalization ---------------------------------------------------------
 
 def test_normalize_deviation_values():
-    dev = np.array([[[0.0], [0.6], [0.3]]])
-    tiri = np.array([[0.5, 0.6, 0.6]])
-    out = normalize_deviation(dev, tiri)
-    np.testing.assert_allclose(out[0, :, 0],
-                               [0.0, math.pi / 4, math.atan(0.5)], atol=1e-12)
-    assert abs(out[0, 2, 0] - 0.46365) < 1e-4
+    dev = np.array([[[0.0], [0.6]], [[0.3], [0.2]]])
+    tiri = np.array([[0.5, 0.6], [0.6, 0.4]])
+    out = brute_normalize(dev, tiri)
+    np.testing.assert_allclose(out[:, :, 0], [[0.0, math.pi / 4],
+                                              [math.atan(0.5), math.atan(0.5)]], atol=1e-12)
+    assert abs(out[1, 0, 0] - 0.46365) < 1e-4
 
 
 def test_normalize_deviation_zero_reference():
-    dev = np.array([[[0.0], [0.2]]])
-    tiri = np.array([[0.0, 0.0]])
-    out = normalize_deviation(dev, tiri)
+    dev = np.array([[[0.0], [0.2]], [[0.0], [0.0]]])
+    tiri = np.zeros((2, 2))
+    out = brute_normalize(dev, tiri)
     assert out[0, 0, 0] == 0.0
     assert out[0, 1, 0] == math.pi / 2
 
@@ -96,28 +91,41 @@ def test_normalize_deviation_range():
     rng = np.random.default_rng(2)
     dev = rng.random((10, 10, 5)) * 3
     tiri = rng.random((10, 10))
-    out = normalize_deviation(dev, tiri)
+    out = brute_normalize(dev, tiri)
     assert out.min() >= 0.0 and out.max() <= math.pi / 2
 
 
 # -- ring partition ---------------------------------------------------------------
 
+ODD = FeatureParams(size=21, frames=4, ring_count=5, ring_width=2.0,
+                    tiri_stride=1, tiri_samples=4)
+
+
 def test_ring_index_examples():
-    assert ring_index(161, 161) == 0
-    assert ring_index(161, 320) == 15
-    assert ring_index(1, 1) == DISCARD
+    labels = ring_labels()
+    for (i, j), ring in (((161, 161), 0), ((161, 320), 15), ((1, 1), DISCARD)):
+        assert brute_ring(i, j, DEFAULT_PARAMS) == ring
+        assert labels[i - 1, j - 1] == ring
 
 
 def test_ring_labels_agree_with_scalar():
-    labels = ring_labels(SMALL)
-    for i in range(1, SMALL.size + 1):
-        for j in range(1, SMALL.size + 1):
-            assert labels[i - 1, j - 1] == ring_index(i, j, SMALL)
+    for params in (SMALL, ODD):
+        labels = ring_labels(params)
+        for i in range(1, params.size + 1):
+            for j in range(1, params.size + 1):
+                assert labels[i - 1, j - 1] == brute_ring(i, j, params)
 
 
 def test_ring_annuli_half_open():
+    # the odd grid has its center on pixel (11, 11); (11, 13) lies at Dist
+    # exactly r and (11, 21) at exactly ring_count * r
+    labels = ring_labels(ODD)
+    for (i, j), ring in (((11, 12), 0), ((11, 13), 1), ((14, 11), 1),
+                         ((11, 15), 2), ((11, 20), 4), ((11, 21), DISCARD)):
+        assert brute_ring(i, j, ODD) == ring
+        assert labels[i - 1, j - 1] == ring
     # 1-based (160.5 + 10, 160.5) has Dist exactly 10 -> ring 1, not ring 0
-    assert ring_index(170.5, 160.5) == 1
+    assert brute_ring(170.5, 160.5, DEFAULT_PARAMS) == 1
 
 
 # -- centroids --------------------------------------------------------------------
@@ -127,7 +135,7 @@ def test_centroid_of_constant_ring():
                            tiri_stride=1, tiri_samples=1)
     tiri = np.ones((8, 8))
     norm = np.full((8, 8, 1), 0.7)
-    f = ring_centroids(norm, tiri, params)
+    f = brute_centroids(norm, tiri, params)
     np.testing.assert_allclose(f, 0.7, atol=1e-12)
 
 
@@ -138,7 +146,7 @@ def test_centroid_two_pixel_example():
     norm = np.zeros((8, 8, 1))
     tiri[3, 3], norm[3, 3, 0] = 0.2, 1.0   # ring 0 (0-based center 3.5)
     tiri[3, 4], norm[3, 4, 0] = 0.6, 0.0
-    f = ring_centroids(norm, tiri, params)
+    f = brute_centroids(norm, tiri, params)
     assert abs(f[0] - 0.25) < 1e-12
     assert f[1] == 0.0  # ring 1 has zero weight -> 0
 
@@ -202,9 +210,13 @@ def test_centroids_weight_scale_invariance():
     rng = np.random.default_rng(7)
     tiri = rng.random((20, 20))
     norm = rng.random((20, 20, 4)) * math.pi / 2
-    a = ring_centroids(norm, tiri, SMALL)
-    b = ring_centroids(norm, tiri * 7.3, SMALL)
+    a = brute_centroids(norm, tiri, SMALL)
+    b = brute_centroids(norm, tiri * 7.3, SMALL)
     np.testing.assert_allclose(a, b, atol=1e-12)
+    # scaling a volume scales its reference and deviations alike
+    vol = rand_volume(rng, SMALL)
+    np.testing.assert_allclose(extract_feature(vol * 7.3, SMALL).values,
+                               extract_feature(vol, SMALL).values, atol=1e-12)
 
 
 def test_pipeline_matches_brute_force_small():
@@ -217,17 +229,42 @@ def test_pipeline_matches_brute_force_small():
         assert np.abs(fv.values - expected).max() <= 1e-12
 
 
-def test_debug_dump_is_little_endian_f64(tmp_path):
-    from zw3d.features import compute_tiri, dump_debug
+def _constant(rng):
+    return np.full((SMALL.size, SMALL.size, SMALL.frames), 0.4)
 
-    rng = np.random.default_rng(10)
+
+def _bright_pixel(rng):
+    vol = np.zeros((SMALL.size, SMALL.size, SMALL.frames))
+    vol[9, 12, 2] = 1.0
+    return vol
+
+
+def _zero_reference(rng):
+    # a block black in every frame has reference 0 while its rim deviates
     vol = rand_volume(rng, SMALL)
-    tiri = compute_tiri(vol, SMALL)
-    f = ring_centroids(normalize_deviation(tiri_deviation(vol, tiri), tiri), tiri, SMALL)
-    dump_debug(tmp_path, tiri, f)
-    back = np.fromfile(tmp_path / "tiri.f64", dtype="<f8").reshape(tiri.shape)
-    np.testing.assert_array_equal(back, tiri)
-    np.testing.assert_array_equal(np.fromfile(tmp_path / "centroids.f64", dtype="<f8"), f)
+    vol[5:9, 6:11, :] = 0.0
+    return vol
+
+
+def _zero_weight_ring(rng):
+    vol = rand_volume(rng, SMALL)
+    vol[ring_labels(SMALL) == 2] = 0.0
+    return vol
+
+
+def _negative(rng):
+    return rand_volume(rng, SMALL) - 0.5
+
+
+@pytest.mark.parametrize("make", [_constant, _bright_pixel, _zero_reference,
+                                  _zero_weight_ring, _negative],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_pipeline_matches_brute_force_cases(make):
+    vol = make(np.random.default_rng(11))
+    fv = extract_feature(vol, SMALL)
+    expected, degenerate = brute_extract(vol, SMALL)
+    assert fv.degenerate == degenerate
+    assert np.abs(fv.values - expected).max() <= 1e-12
 
 
 def test_noise_clip_features_are_distinguishable():

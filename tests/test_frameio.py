@@ -9,12 +9,13 @@ from zw3d.frameio import (
     read_frame,
     read_pbm,
     save_clip,
-    smooth_gaussian3,
     temporal_indices,
     to_luminance,
     write_frame,
     write_pbm,
 )
+
+from oracle import brute_resample
 
 
 def make_seq(frames, role="2d"):
@@ -183,8 +184,28 @@ def test_normalize_idempotent_without_smoothing():
 
 
 def test_smoothing_preserves_constants():
-    img = np.full((16, 16), 0.37)
-    np.testing.assert_allclose(smooth_gaussian3(img), img, atol=1e-12)
+    # at the volume's own size the resize is the identity and only the
+    # Gaussian acts
+    clip = normalize_clip(make_seq([np.full((320, 320), 94, dtype=np.uint8)]))
+    np.testing.assert_allclose(clip.volume, 94 / 255, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(32, 48), (200, 100), (46, 57), (320, 320, 3)],
+                         ids=["upscale", "mixed", "odd", "color-identity"])
+def test_normalize_matches_brute_force(shape):
+    rng = np.random.default_rng(11)
+    frame = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    plane = to_luminance(frame) if frame.ndim == 3 else frame / 255.0
+    for smooth in (False, True):
+        clip = normalize_clip(make_seq([frame]), smooth=smooth)
+        expected = brute_resample(plane.tolist(), 320, smooth)
+        assert np.abs(clip.volume - expected[:, :, None]).max() <= 1e-12
+
+
+def test_zero_size_frames_rejected():
+    for shape in ((0, 4), (4, 0), (0, 0, 3)):
+        with pytest.raises(FrameFormatError, match="zero size"):
+            FrameSequence(frames=[np.zeros(shape, dtype=np.uint8)], role="2d")
 
 
 def test_empty_sequence_rejected():
