@@ -43,26 +43,26 @@ ATTACKS = [
     AttackSpec("fd", {"rate": 0.05}, seed=2),
 ]
 
-work = Path(tempfile.mkdtemp(prefix="zw3d_bench_"))
-db_path = work / "registry.zw3d"
 clips, feats, wms, shares = {}, {}, {}, {}
-with Registry(db_path, "a") as db:
-    for i in range(N):
-        cid = f"clip{i:02d}"
-        seq2d, seqdep = make_clip(seed=2000 + i, frames=48, size=96)
-        fv2d = extract_feature(normalize_clip(seq2d))
-        fvdep = extract_feature(normalize_clip(seqdep))
-        w2d, wdep = make_watermark(i), make_watermark(50 + i)
-        o2d = build_ownership_share(build_master_share(rearrange(binarize_feature(fv2d))), w2d)
-        odep = build_ownership_share(build_master_share(rearrange(binarize_feature(fvdep))), wdep)
-        db.register(RegistrationRecord(cid, fv2d.values, fvdep.values, o2d, odep, w2d, wdep))
-        clips[cid] = (seq2d, seqdep)
-        feats[cid] = (fv2d, fvdep)
-        wms[cid] = (w2d, wdep)
-        shares[cid] = (o2d, odep)
+with tempfile.TemporaryDirectory(prefix="zw3d_bench_") as work:
+    db_path = Path(work) / "registry.zw3d"
+    with Registry(db_path, "a") as db:
+        for i in range(N):
+            cid = f"clip{i:02d}"
+            seq2d, seqdep = make_clip(seed=2000 + i, frames=48, size=96)
+            fv2d = extract_feature(normalize_clip(seq2d))
+            fvdep = extract_feature(normalize_clip(seqdep))
+            w2d, wdep = make_watermark(i), make_watermark(50 + i)
+            o2d = build_ownership_share(build_master_share(rearrange(binarize_feature(fv2d))), w2d)
+            odep = build_ownership_share(build_master_share(rearrange(binarize_feature(fvdep))), wdep)
+            db.register(RegistrationRecord(cid, fv2d.values, fvdep.values, o2d, odep, w2d, wdep))
+            clips[cid] = (seq2d, seqdep)
+            feats[cid] = (fv2d, fvdep)
+            wms[cid] = (w2d, wdep)
+            shares[cid] = (o2d, odep)
 
-with Registry(db_path, "r") as db:
-    th = calibrate_thresholds(db, target_pfp=0.01)
+    with Registry(db_path, "r") as db:
+        th = calibrate_thresholds(db, target_pfp=0.01)
 print(f"thresholds: t_2d={th.t_2d:.3f} t_depth={th.t_depth:.3f} t_fusion={th.t_fusion:.3f}")
 print(f"{'attack':>8} {'P_fn(fused)':>12} {'BER 2d':>8} {'BER depth':>10} {'BER fused':>10}")
 

@@ -65,8 +65,9 @@ def det_curve(genuine_scores, impostor_scores) -> list[DetPoint]:
 # the features extracted from the attacked 2D and depth channels of a
 # registered clip.
 
-def impostor_scores(db, channel: str = "fused", gamma: float = 0.1) -> list[float]:
-    """All distinct-registered-pair distances for one channel."""
+def impostor_scores(db, channel: str = "fused", gamma: float = 0.1) -> np.ndarray:
+    """All distinct-registered-pair distances for one channel, from the Gram
+    path of ``pairwise_distances`` (within ~1e-12 of the exact distances)."""
     features = [(fn2d, fndep) for _, fn2d, fndep in db.iterate_features()]
     d2d, ddep, dfus = pairwise_distances(features, gamma)
     return {"2d": d2d, "depth": ddep, "fused": dfus}[channel]

@@ -1,12 +1,25 @@
 """Distance scoring, attention-based fusion, and registry matching.
 
 Two clips are compared channel-wise (2D frame features vs depth features) by
-a normalized squared distance. The two channel scores can be fused by an
-attention-style combiner that leans toward the stronger (smaller) score while
-staying strictly monotone in both arguments; the same combiner serves both
-distances and bit error rates. Matching against the registry is flexible:
-either channel may match independently against its own threshold, or the
-fused score is held against a fusion threshold.
+the normalized squared distance ``d(a, b) = ||a - b||^2 / n``. The two
+channel scores can be fused by an attention-style combiner that leans toward
+the stronger (smaller) score while staying strictly monotone in both
+arguments; the same combiner serves both distances and bit error rates.
+Matching against the registry is flexible: either channel may match
+independently against its own threshold, or the fused score is held against a
+fusion threshold.
+
+Retrieval and calibration are linear algebra on the identity
+``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``. A query streams
+``db.iterate_features()`` in blocks of ``BLOCK_ROWS`` records into
+preallocated buffers and scores each block with one matrix-vector product per
+channel; calibration takes one Gram matrix ``F F^T`` per channel over all
+records. A Gram distance differs from the exact ``feature_distance`` (the
+difference vector dotted with itself) by at most the bound of ``_gram_eps``.
+Every record or pair whose Gram distance, moved by that bound, could change a
+decision, a quantile node or a realized rate is rescored exactly, so
+``match_query`` and ``calibration_report`` return exactly what scoring every
+record and every pair with ``score_record`` and ``feature_distance`` returns.
 """
 
 from __future__ import annotations
@@ -19,6 +32,8 @@ import numpy as np
 from .features import FeatureVector
 
 MODES = ("independent", "fused")
+BLOCK_ROWS = 256  # records per matrix-vector product in match_query
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
 
 
 @dataclass
@@ -59,6 +74,53 @@ def feature_distance(fn: FeatureVector | np.ndarray, fn_other: FeatureVector | n
     return float(diff.dot(diff)) / a.size
 
 
+def _gram_distances(sq_a, sq_b, dots, n: int) -> np.ndarray:
+    """``(||a||^2 + ||b||^2 - 2 a.b) / n`` from squared norms and dot
+    products, clamped at 0 (a true distance is never negative)."""
+    return np.maximum((sq_a + sq_b - 2.0 * dots) / n, 0.0)
+
+
+def _gram_eps(n: int, sq_norm):
+    """A bound on the difference between a ``_gram_distances`` value and
+    ``feature_distance`` for vectors of length n whose computed squared norms
+    are at most ``sq_norm``.
+
+    With u the unit roundoff and g_m = m u / (1 - m u), a dot product of n
+    terms, summed in any order, errs by at most g_n sum |x_k y_k|. So both
+    fl((a - b).(a - b)) / n and the Gram form lie within
+    g_{n+4} (||a|| + ||b||)^2 / n <= 4 g_{n+4} r^2 / n of ||a - b||^2 / n,
+    where r bounds ||a|| and ||b||, and they differ by at most
+    8 g_{n+4} r^2 / n. The computed squared norms may read low by a factor
+    1 - g_n; 9 (n + 5) u sq_norm / n covers both factors while n u < 1e-3.
+    """
+    return 9.0 * (n + 5) * _U * sq_norm / n
+
+
+def _fuse(s1, s2, gamma: float):
+    """The fusion formula of ``fuse_scores``, elementwise over arrays; a
+    score at or below 0 gives 0."""
+    if gamma <= -1:
+        raise ValueError("gamma must be > -1")
+    s1, s2 = np.asarray(s1, dtype=np.float64), np.asarray(s2, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1, r2 = 1.0 / s1, 1.0 / s2
+        fused = 1.0 / (0.5 * ((r1 + r2) + np.abs(r1 - r2) / (1.0 + gamma)))
+    return np.where((s1 <= 0) | (s2 <= 0), 0.0, fused)
+
+
+def _fused_bound(a, b, gamma: float, side: int):
+    """A bound on the computed ``fuse_scores`` of any pair of nonnegative
+    scores within the given ones: the lower bound (``side`` -1) at the
+    scores' lower ends, the upper bound (``side`` +1) at their upper ends.
+
+    The formula is increasing in each score, so its values at the ends bound
+    it. Each evaluation rounds by a relative (4 + 3 / (1 + gamma)) u at most
+    (the difference of the reciprocals is what 1 + gamma can amplify); the
+    slack covers the evaluation here and the one it bounds.
+    """
+    return _fuse(a, b, gamma) * (1.0 + side * 16.0 * _U * (1.0 + 1.0 / (1.0 + gamma)))
+
+
 def fuse_scores(s1: float, s2: float, gamma: float = 0.1) -> float:
     """Attention-based fusion of two nonnegative scores.
 
@@ -71,13 +133,7 @@ def fuse_scores(s1: float, s2: float, gamma: float = 0.1) -> float:
     """
     if s1 < 0 or s2 < 0:
         raise ValueError("scores must be nonnegative")
-    if gamma <= -1:
-        raise ValueError("gamma must be > -1")
-    if s1 == 0 or s2 == 0:
-        return 0.0
-    x1 = 1.0 / s1 + 1.0 / s2
-    x2 = abs(1.0 / s1 - 1.0 / s2)
-    return 1.0 / (0.5 * (x1 + x2 / (1.0 + gamma)))
+    return float(_fuse(s1, s2, gamma))
 
 
 def fused_ber(b_2d: float, b_depth: float, gamma: float = 0.1) -> float:
@@ -129,19 +185,79 @@ def match_query(q2d, qdepth, db, thresholds: Thresholds, mode: str = "independen
     distance that decided the match (fused distance in fused mode, the
     matched channel's distance otherwise), with the record id as tiebreak.
     An empty registry yields an empty list.
+
+    Records are scored ``BLOCK_ROWS`` at a time by one matrix-vector product
+    per channel. A record goes on to the exact ``score_record`` when its Gram
+    distances, lowered by their error bound, could still pass the decision;
+    no other record can match, so the results are those of scoring every
+    record exactly.
     """
-    results = []
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    shapes = (_values(q2d).shape, _values(qdepth).shape)
+    blocks = (np.empty((BLOCK_ROWS, *shapes[0])), np.empty((BLOCK_ROWS, *shapes[1])))
+    ids: list[str] = []
+    results: list[MatchResult] = []
     for record_id, fn_2d, fn_depth in db.iterate_features():
-        d2d, ddep, dfused, decision = score_record(q2d, qdepth, fn_2d, fn_depth, thresholds, mode)
-        if decision != "no-match":
-            results.append(MatchResult(record_id, d2d, ddep, dfused, decision, mode))
+        if (np.shape(fn_2d), np.shape(fn_depth)) != shapes:
+            raise ValueError(f"feature length mismatch: query {shapes}, record {record_id!r}")
+        blocks[0][len(ids)], blocks[1][len(ids)] = fn_2d, fn_depth
+        ids.append(record_id)
+        if len(ids) == BLOCK_ROWS:
+            results += _match_block(q2d, qdepth, blocks, ids, thresholds, mode)
+            ids = []
+    if ids:
+        results += _match_block(q2d, qdepth, blocks, ids, thresholds, mode)
     results.sort(key=lambda r: (_deciding_distance(r), r.record_id))
     return results
+
+
+def _match_block(q2d, qdepth, blocks, ids, thresholds: Thresholds, mode: str) -> list[MatchResult]:
+    """Matches among the first ``len(ids)`` buffered records: a Gram lower
+    bound on each channel's distance, then ``score_record`` for every record
+    the bounds cannot rule out."""
+    lows = []
+    for q, block in zip((_values(q2d), _values(qdepth)), blocks):
+        rows = block[: len(ids)]
+        sq_q, sq = q.dot(q), np.einsum("ij,ij->i", rows, rows)
+        lows.append(_gram_distances(sq_q, sq, rows @ q, q.size) - _gram_eps(q.size, np.maximum(sq_q, sq)))
+    if mode == "fused":
+        maybe = _fused_bound(lows[0], lows[1], thresholds.gamma, -1) < thresholds.t_fusion
+    else:
+        maybe = (lows[0] < thresholds.t_2d) | (lows[1] < thresholds.t_depth)
+    out = []
+    for k in np.flatnonzero(maybe):
+        d2d, ddep, dfused, decision = score_record(q2d, qdepth, blocks[0][k], blocks[1][k], thresholds, mode)
+        if decision != "no-match":
+            out.append(MatchResult(ids[k], d2d, ddep, dfused, decision, mode))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # threshold calibration
 # ---------------------------------------------------------------------------
+
+def _check_quantile(q: float) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+
+
+def _quantile(q: float, n: int, order_statistic) -> float:
+    """Zero-anchored quantile of n scores whose k-th smallest (k >= 1) is
+    ``order_statistic(k)``; reads order statistics k1..k2 of ``_node_range``."""
+    p = q * n
+    if p >= n:
+        return float(np.nextafter(order_statistic(n), np.inf))
+    i = int(p)
+    lower = order_statistic(i) if i else 0.0
+    return float(lower + (p - i) * (order_statistic(i + 1) - lower))
+
+
+def _node_range(q: float, n: int) -> tuple[int, int]:
+    """First and last order statistic that ``_quantile(q, n, ...)`` reads."""
+    i = int(q * n)
+    return min(max(i, 1), n), min(i + 1, n)
+
 
 def zero_anchored_quantile(values, q: float) -> float:
     """Empirical quantile interpolated over nodes 0 <= x(1) <= ... <= x(n).
@@ -150,31 +266,60 @@ def zero_anchored_quantile(values, q: float) -> float:
     below the smallest observed score; q = 1 lands just above the maximum so
     that every observed score counts as strictly below the threshold.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
+    _check_quantile(q)
     xs = np.sort(np.asarray(values, dtype=np.float64))
-    n = len(xs)
-    if n == 0:
+    if len(xs) == 0:
         raise ValueError("no samples to calibrate on")
-    p = q * n
-    if p >= n:
-        return float(np.nextafter(xs[-1], np.inf))
-    nodes = np.concatenate([[0.0], xs])
-    i = int(p)
-    return float(nodes[i] + (p - i) * (nodes[i + 1] - nodes[i]))
+    return _quantile(q, len(xs), lambda k: xs[k - 1])
+
+
+def _channel_pair_distances(features, channel: int) -> tuple[np.ndarray, float]:
+    """Gram distances of all record pairs i < j (row-major) on one channel,
+    and their error bound. Only this channel's feature matrix is built."""
+    f = np.array([_values(row[channel]) for row in features], dtype=np.float64)
+    gram = f @ f.T
+    sq = gram.diagonal().copy()
+    n_rec, n = f.shape
+    out = np.empty(n_rec * (n_rec - 1) // 2)
+    start = 0
+    for i in range(n_rec - 1):
+        out[start : start + n_rec - 1 - i] = _gram_distances(sq[i], sq[i + 1 :], gram[i, i + 1 :], n)
+        start += n_rec - 1 - i
+    return out, _gram_eps(n, sq.max())
 
 
 def pairwise_distances(features: list[tuple[np.ndarray, np.ndarray]], gamma: float = 0.1):
-    """Distances of all distinct record pairs, per channel and fused."""
-    d2d, ddep, dfus = [], [], []
-    for i in range(len(features)):
-        for j in range(i + 1, len(features)):
-            a = feature_distance(features[i][0], features[j][0])
-            b = feature_distance(features[i][1], features[j][1])
-            d2d.append(a)
-            ddep.append(b)
-            dfus.append(fuse_scores(a, b, gamma))
-    return d2d, ddep, dfus
+    """Distances of all distinct record pairs (i < j, row-major), per channel
+    and fused, from one Gram matrix per channel.
+
+    Each channel's values lie within ``_gram_eps`` of ``feature_distance``;
+    ``calibration_report`` rescores exactly the pairs where that matters.
+    """
+    d2d, _ = _channel_pair_distances(features, 0)
+    ddep, _ = _channel_pair_distances(features, 1)
+    return d2d, ddep, _fuse(d2d, ddep, gamma)
+
+
+def _exact_quantile(lo: np.ndarray, hi: np.ndarray, exact, q: float) -> tuple[float, float]:
+    """Zero-anchored quantile t of scores x known as lo <= x <= hi, and the
+    fraction of x strictly below t.
+
+    ``exact(idx)`` returns the exact scores of the entries ``idx``. The k-th
+    smallest x lies between the k-th smallest lo and the k-th smallest hi, so
+    an entry with hi below the first bound sits below it and one with lo
+    above the second sits above it. Only the entries in between, and those
+    whose interval holds t, are rescored.
+    """
+    n = lo.size
+    k1, k2 = _node_range(q, n)
+    floor = np.partition(lo, k1 - 1)[k1 - 1]
+    ceiling = np.partition(hi, k2 - 1)[k2 - 1]
+    below = np.count_nonzero(hi < floor)
+    nodes = np.sort(exact(np.flatnonzero((hi >= floor) & (lo <= ceiling))))
+    t = _quantile(q, n, lambda k: nodes[k - 1 - below])
+    undecided = np.flatnonzero((lo < t) & (hi >= t))
+    count = int(np.count_nonzero(hi < t)) + int(np.count_nonzero(exact(undecided) < t))
+    return t, count / n
 
 
 def calibrate_thresholds(db, target_pfp: float = 0.01, gamma: float = 0.1) -> Thresholds:
@@ -187,25 +332,46 @@ def calibrate_thresholds(db, target_pfp: float = 0.01, gamma: float = 0.1) -> Th
 
 
 def calibration_report(db, target_pfp: float = 0.01, gamma: float = 0.1):
-    """Calibrate and report realized false-positive fractions per threshold."""
+    """Calibrate and report realized false-positive fractions per threshold.
+
+    Pair distances come from one Gram matrix per channel. The pairs whose
+    distance could, within the Gram error bound, be a quantile node or fall
+    on the other side of a threshold are rescored with ``feature_distance``
+    (and ``fuse_scores``), so thresholds and rates are those of the exact
+    distances of every pair.
+    """
+    _check_quantile(target_pfp)
     features = [(fn2d, fndep) for _, fn2d, fndep in db.iterate_features()]
     if len(features) < 2:
         raise ValueError("calibration needs at least 2 registered clips")
-    d2d, ddep, dfus = pairwise_distances(features, gamma)
-    th = Thresholds(
-        t_2d=zero_anchored_quantile(d2d, target_pfp),
-        t_depth=zero_anchored_quantile(ddep, target_pfp),
-        t_fusion=zero_anchored_quantile(dfus, target_pfp),
-        gamma=gamma,
+    d2d, eps_2d = _channel_pair_distances(features, 0)
+    ddep, eps_dep = _channel_pair_distances(features, 1)
+    starts = np.concatenate([[0], np.cumsum(np.arange(len(features) - 1, 0, -1))])  # row i's first pair
+
+    def rescorer(score):
+        def rescore(idx):
+            rows = np.searchsorted(starts, idx, side="right") - 1
+            pairs = zip(rows, idx - starts[rows] + rows + 1)
+            return np.array([score(features[i], features[j]) for i, j in pairs], dtype=np.float64)
+        return rescore
+
+    def fused(a, b):
+        return fuse_scores(feature_distance(a[0], b[0]), feature_distance(a[1], b[1]), gamma)
+
+    # one threshold's bounds at a time: each call's arrays are freed on return
+    results = (
+        _exact_quantile(d2d - eps_2d, d2d + eps_2d,
+                        rescorer(lambda a, b: feature_distance(a[0], b[0])), target_pfp),
+        _exact_quantile(ddep - eps_dep, ddep + eps_dep,
+                        rescorer(lambda a, b: feature_distance(a[1], b[1])), target_pfp),
+        _exact_quantile(_fused_bound(d2d - eps_2d, ddep - eps_dep, gamma, -1),
+                        _fused_bound(d2d + eps_2d, ddep + eps_dep, gamma, +1), rescorer(fused), target_pfp),
     )
-    rows = []
-    for name, value, scores in (
-        ("t_2d", th.t_2d, d2d),
-        ("t_depth", th.t_depth, ddep),
-        ("t_fusion", th.t_fusion, dfus),
-    ):
-        realized = sum(1 for s in scores if s < value) / len(scores)
-        rows.append({"threshold": name, "value": value, "target_pfp": target_pfp, "realized_pfp": realized})
+    rows = [
+        {"threshold": name, "value": value, "target_pfp": target_pfp, "realized_pfp": realized}
+        for name, (value, realized) in zip(("t_2d", "t_depth", "t_fusion"), results)
+    ]
+    th = Thresholds(*(row["value"] for row in rows), gamma=gamma)
     return th, rows
 
 

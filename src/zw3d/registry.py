@@ -138,7 +138,11 @@ class Registry:
         self._ids: dict[str, int] = {}     # id -> body offset
         self._order: list[str] = []
         self._append_at = _HEADER.size
-        self._load_index()
+        try:
+            self._load_index()
+        except BaseException:
+            self._fh.close()
+            raise
 
     def _lock(self):
         import fcntl
@@ -159,6 +163,7 @@ class Registry:
             raise RegistryCorruptError(f"{self.path}: bad magic {magic!r}")
         if version != VERSION:
             raise RegistryCorruptError(f"{self.path}: unsupported version {version}")
+        size = os.fstat(self._fh.fileno()).st_size
         offset = _HEADER.size
         for _ in range(count):
             self._fh.seek(offset)
@@ -167,6 +172,9 @@ class Registry:
                 raise RegistryCorruptError(f"{self.path}: truncated record at {offset}")
             (id_len,) = struct.unpack("<H", raw_len)
             rec_len = 2 + id_len + 2 * _FEATURE_BYTES + 2 * _SHARE_BYTES + 2 * _WM_BYTES + 4
+            if offset + rec_len > size:
+                raise RegistryCorruptError(
+                    f"{self.path}: record at {offset} runs past the end of the file ({size} bytes)")
             try:
                 rid = self._fh.read(id_len).decode("utf-8")
             except UnicodeDecodeError as e:

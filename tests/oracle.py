@@ -1,9 +1,12 @@
-"""Brute-force reference implementation of frame resampling and the feature
-pipeline.
+"""Brute-force reference implementation of frame resampling, the feature
+pipeline, and retrieval and calibration.
 
 Deliberately written as plain Python loops with no vectorization so it cannot
 share bugs with the production code. The feature stages are only used on
-reduced geometries, the resampling on single frames.
+reduced geometries, the resampling on single frames. A retrieval distance is
+the difference vector dotted with itself, over n, one pair at a time: the one
+rounding order the production's exact path also uses, so results compare
+with ``==``.
 """
 
 import math
@@ -140,3 +143,68 @@ def brute_resample(plane, size, smooth, sigma=0.5):
                     acc += k[a] * k[b] * row[min(max(x + b, 0), last)]
             smoothed[y][x] = acc
     return np.array(smoothed)
+
+
+def brute_distance(a, b):
+    diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    return float(np.dot(diff, diff)) / len(diff)
+
+
+def brute_fuse(s1, s2, gamma):
+    if s1 == 0 or s2 == 0:
+        return 0.0
+    x1 = 1.0 / s1 + 1.0 / s2
+    x2 = abs(1.0 / s1 - 1.0 / s2)
+    return 1.0 / (0.5 * (x1 + x2 / (1.0 + gamma)))
+
+
+def brute_pair_distances(features, gamma=0.1):
+    """(2d, depth, fused) distance lists over all pairs i < j, row-major."""
+    d2d, ddep, dfus = [], [], []
+    for i in range(len(features)):
+        for j in range(i + 1, len(features)):
+            a = brute_distance(features[i][0], features[j][0])
+            b = brute_distance(features[i][1], features[j][1])
+            d2d.append(a)
+            ddep.append(b)
+            dfus.append(brute_fuse(a, b, gamma))
+    return d2d, ddep, dfus
+
+
+def brute_calibration(features, q, gamma=0.1):
+    """{name: (threshold, realized fraction)}: the quantile interpolated at
+    position q*n over the nodes 0, x(1), ..., x(n) (just above x(n) once
+    q*n >= n), and the fraction of scores strictly below it."""
+    out = {}
+    for name, scores in zip(("t_2d", "t_depth", "t_fusion"), brute_pair_distances(features, gamma)):
+        nodes = [0.0] + sorted(scores)
+        n = len(scores)
+        p = q * n
+        if p >= n:
+            t = float(np.nextafter(nodes[n], math.inf))
+        else:
+            i = int(p)
+            t = nodes[i] + (p - i) * (nodes[i + 1] - nodes[i])
+        out[name] = (t, sum(1 for s in scores if s < t) / n)
+    return out
+
+
+def brute_match(q2d, qdep, rows, t_2d, t_depth, t_fusion, gamma, mode):
+    """Matches of a query against (id, fn_2d, fn_depth) rows, best first, as
+    (id, d_2d, d_depth, d_fused, decision): strict thresholds; in independent
+    mode a record matched on both channels goes to the smaller distance (2d
+    on a tie); ordered by the deciding distance, then the id."""
+    found = []
+    for rid, f2d, fdep in rows:
+        a = brute_distance(q2d, f2d)
+        b = brute_distance(qdep, fdep)
+        f = brute_fuse(a, b, gamma)
+        if mode == "fused":
+            if f < t_fusion:
+                found.append((f, rid, a, b, f, "match-fused"))
+        elif a < t_2d and (b >= t_depth or a <= b):
+            found.append((a, rid, a, b, f, "match-2d"))
+        elif b < t_depth:
+            found.append((b, rid, a, b, f, "match-depth"))
+    found.sort(key=lambda r: (r[0], r[1]))
+    return [r[1:] for r in found]

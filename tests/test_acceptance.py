@@ -41,6 +41,8 @@ from zw3d.shares import (
 
 from oracle import brute_extract
 
+pytestmark = pytest.mark.slow
+
 CLIPS = 20
 FRAMES = 64
 SIZE = 96

@@ -129,6 +129,22 @@ def test_calibrate_corrupt_registry_exit_3(registered, tmp_path, damage):
     assert code == 3, err
 
 
+def test_register_onto_truncated_registry_exit_3(corpus, registered, tmp_path):
+    db = tmp_path / "truncated.zw3d"
+    db.write_bytes(registered.read_bytes()[:-100])
+    before = db.read_bytes()
+    clip = corpus / "clip000"
+    code, _, err = run_cli(
+        "register", "--db", db, "--id", "new",
+        "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
+        "--watermark-2d", clip / "watermark_2d.pbm",
+        "--watermark-depth", clip / "watermark_depth.pbm",
+    )
+    assert code == 3, err
+    assert "past the end" in err
+    assert db.read_bytes() == before
+
+
 def test_calibrate_report(thresholds_csv):
     with open(thresholds_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.slow
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -17,7 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
     "04_view_synthesis",
 ])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the registry demo 03 makes with mkdtemp inside tmp_path
+    # TMPDIR keeps demo 03's temporary registry directory inside tmp_path even
+    # if the demo dies before its TemporaryDirectory is removed
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True,

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from oracle import brute_pair_distances
 
 from zw3d.evaluation import (
     ber_table,
@@ -105,6 +106,9 @@ def test_impostor_and_genuine_scores(tmp_path):
     with Registry(path, "r") as db:
         imp = impostor_scores(db, "2d")
         assert len(imp) == 6  # C(4,2)
+        features = list(feats.values())
+        for channel, loop in zip(("2d", "depth", "fused"), brute_pair_distances(features)):
+            assert np.max(np.abs(impostor_scores(db, channel) - np.array(loop))) <= 1e-12
         corpus = [(rid, "none", fn2d, fndep) for rid, (fn2d, fndep) in feats.items()]
         gen = genuine_scores(db, corpus, "2d")
         assert gen == [0.0] * 4

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from oracle import brute_calibration, brute_match, brute_pair_distances
 
 from zw3d.features import FeatureVector
 from zw3d.fusion import (
+    BLOCK_ROWS,
+    MODES,
     Thresholds,
     calibrate_thresholds,
     calibration_report,
@@ -10,6 +13,7 @@ from zw3d.fusion import (
     fuse_scores,
     fused_ber,
     match_query,
+    pairwise_distances,
     score_record,
     zero_anchored_quantile,
 )
@@ -237,8 +241,171 @@ def test_calibrate_needs_two_records():
         calibrate_thresholds(db)
 
 
+def test_calibration_rejects_bad_gamma_and_target():
+    rng = np.random.default_rng(14)
+    db, _ = make_db(rng, n=3)
+    for bad in (dict(gamma=-1.0), dict(target_pfp=1.5), dict(target_pfp=-0.1)):
+        with pytest.raises(ValueError):
+            calibration_report(db, **bad)
+
+
 def test_thresholds_validation():
     with pytest.raises(ValueError):
         Thresholds(-0.1, 0.2, 0.3)
     with pytest.raises(ValueError):
         Thresholds(0.1, 0.2, 0.3, gamma=-2.0)
+
+
+# -- Gram/matvec paths against the brute-force loops ------------------------------
+
+def mixed_rows(rng, n):
+    """z-scored records plus exact duplicates under other ids, all-zero
+    (degenerate) features and near-duplicates one coordinate apart, whose
+    distances sit far inside the Gram error bound."""
+    rows = []
+    for i in range(n):
+        kind = i % 6
+        if kind == 3 and rows:
+            _, a, b = rows[int(rng.integers(len(rows)))]
+            a, b = a.copy(), b.copy()
+        elif kind == 4:
+            a, b = np.zeros(1600), (zvec(rng) if i % 12 == 4 else np.zeros(1600))
+        elif kind == 5 and rows:
+            _, a, b = rows[int(rng.integers(len(rows)))]
+            a, b = a.copy(), b.copy()
+            a[int(rng.integers(1600))] += 1e-9
+        else:
+            a, b = zvec(rng), zvec(rng)
+        rows.append((f"r{int(rng.integers(10**6)):06d}-{i}", a, b))
+    return rows
+
+
+def assert_calibration_is_exact(rows, q, gamma=0.1):
+    th, report = calibration_report(FakeRegistry(rows), target_pfp=q, gamma=gamma)
+    want = brute_calibration([(a, b) for _, a, b in rows], q, gamma)
+    assert {r["threshold"]: (r["value"], r["realized_pfp"]) for r in report} == want
+    assert th == Thresholds(want["t_2d"][0], want["t_depth"][0], want["t_fusion"][0], gamma)
+    return want
+
+
+def assert_match_is_exact(q2d, qdep, rows, th):
+    for mode in MODES:
+        got = match_query(q2d, qdep, FakeRegistry(rows), th, mode)
+        assert all(r.mode == mode for r in got)
+        assert [(r.record_id, r.d_2d, r.d_depth, r.d_fused, r.decision) for r in got] == brute_match(
+            q2d, qdep, rows, th.t_2d, th.t_depth, th.t_fusion, th.gamma, mode)
+
+
+@pytest.mark.parametrize("q", [0.01, 0.2, 1.0, 1e-9, 0.0])
+@pytest.mark.parametrize("gamma", [0.1, 0.0, 3.0])
+def test_calibration_equals_pair_loop(q, gamma):
+    rng = np.random.default_rng(20)
+    assert_calibration_is_exact(mixed_rows(rng, 40), q, gamma)
+
+
+def test_calibration_duplicates_and_zero_features():
+    rng = np.random.default_rng(21)
+    a, b = zvec(rng), zvec(rng)
+    zero = np.zeros(1600)
+    rows = [("dup-b", a, b), ("dup-a", a.copy(), b.copy()), ("zero1", zero, zero),
+            ("zero2", zero.copy(), zero.copy()), ("half", zero.copy(), b.copy())]
+    rows += [(f"x{i}", zvec(rng), zvec(rng)) for i in range(5)]
+    want = assert_calibration_is_exact(rows, 0.1)
+    # the duplicate pairs give distance 0, fused 0, and pull t_fusion to 0
+    assert want["t_fusion"] == (0.0, 0.0)
+
+
+def test_calibration_quantile_node_inside_gram_window():
+    # distances ~1e-22 among near-duplicates are noise to the Gram form
+    # (error bound ~1e-12): the nodes and the realized rate need rescoring
+    rng = np.random.default_rng(22)
+    base2d, basedep = zvec(rng), zvec(rng)
+    rows = []
+    for i in range(8):
+        a, b = base2d.copy(), basedep.copy()
+        a[i] += (i + 1) * 1e-9
+        b[i + 8] += (8 - i) * 1e-9
+        rows.append((f"n{i}", a, b))
+    rows += [(f"x{i}", zvec(rng), zvec(rng)) for i in range(4)]
+    features = [(a, b) for _, a, b in rows]
+    q = 10 / 66 + 0.004  # between the 10th and 11th of 66 pair distances
+    gram = zero_anchored_quantile(pairwise_distances(features)[0], q)
+    assert gram != zero_anchored_quantile(brute_pair_distances(features)[0], q)
+    want = assert_calibration_is_exact(rows, q)
+    assert 0.0 < want["t_2d"][0] < 1e-18
+
+
+def test_calibration_threshold_on_an_observed_distance():
+    rng = np.random.default_rng(23)
+    rows = mixed_rows(rng, 10)  # 45 pairs
+    q = 9 / 45
+    assert q * 45 == 9  # the quantile lands exactly on the 9th smallest distance
+    want = assert_calibration_is_exact(rows, q)
+    d2d = brute_pair_distances([(a, b) for _, a, b in rows])[0]
+    t, realized = want["t_2d"]
+    assert t in d2d and realized == sum(1 for d in d2d if d < t) / 45
+
+
+def test_match_equals_record_loop_across_blocks():
+    rng = np.random.default_rng(24)
+    rows = mixed_rows(rng, 2 * BLOCK_ROWS + 37)
+    th = calibration_report(FakeRegistry(rows[:40]), target_pfp=0.05)[0]
+    queries = [rows[5][1:], rows[300][1:], rows[2 * BLOCK_ROWS + 30][1:],  # stored: distance 0
+               (np.zeros(1600), np.zeros(1600)),
+               (zvec(rng), rows[7][2])]
+    for q2d, qdep in queries:
+        for t in (th, Thresholds(10.0, 10.0, 10.0), Thresholds(0.0, 0.0, 0.0), Thresholds(1.9, 2.0, 1.95, 0.5)):
+            assert_match_is_exact(q2d, qdep, rows, t)
+
+
+def test_match_threshold_equal_to_distance_is_strict():
+    # near-duplicates of the query sit ~1e-22 away, inside the Gram error bound
+    rng = np.random.default_rng(25)
+    q2d, qdep = zvec(rng), zvec(rng)
+    rows = []
+    for i in range(6):
+        a, b = q2d.copy(), qdep.copy()
+        a[i] += (i + 1) * 1e-9
+        b[i] += (6 - i) * 1e-9
+        rows.append((f"n{i}", a, b))
+    rows += [(f"x{i}", zvec(rng), zvec(rng)) for i in range(3)]
+    d2d = [feature_distance(q2d, a) for _, a, _ in rows]
+    ddep = [feature_distance(qdep, b) for _, _, b in rows]
+    th = Thresholds(d2d[2], ddep[3], fuse_scores(d2d[1], ddep[1]))
+    assert_match_is_exact(q2d, qdep, rows, th)
+    # 2d distances grow with i, depth distances shrink: n2 and n3 sit on a threshold
+    independent = {r.record_id for r in match_query(q2d, qdep, FakeRegistry(rows), th)}
+    assert independent == {"n0", "n1", "n4", "n5"}
+    fused = [r.record_id for r in match_query(q2d, qdep, FakeRegistry(rows), th, "fused")]
+    assert "n1" not in fused
+
+
+def test_match_ties_broken_by_id():
+    rng = np.random.default_rng(26)
+    a, b = zvec(rng), zvec(rng)
+    rows = [(rid, a.copy(), b.copy()) for rid in ("d", "b", "c", "a")]
+    rows += [(f"x{i}", zvec(rng), zvec(rng)) for i in range(4)]
+    q2d, qdep = zvec(rng), zvec(rng)
+    th = Thresholds(10.0, 10.0, 10.0)
+    assert_match_is_exact(q2d, qdep, rows, th)
+    for mode in MODES:
+        got = [r.record_id for r in match_query(q2d, qdep, FakeRegistry(rows), th, mode)]
+        tied = [rid for rid in got if rid in "abcd"]
+        assert tied == ["a", "b", "c", "d"]
+        assert got.index("a") + 3 == got.index("d")  # tied records sit together
+
+
+def test_match_rejects_feature_length_mismatch():
+    rng = np.random.default_rng(27)
+    rows = [("ok", zvec(rng), zvec(rng)), ("short", np.zeros(1), zvec(rng))]
+    with pytest.raises(ValueError, match="length"):
+        match_query(zvec(rng), zvec(rng), FakeRegistry(rows), Thresholds(1.0, 1.0, 1.0))
+
+
+def test_pairwise_distances_within_gram_bound_of_loop():
+    rng = np.random.default_rng(28)
+    features = [(a, b) for _, a, b in mixed_rows(rng, 30)]
+    got = pairwise_distances(features)
+    want = brute_pair_distances(features)
+    for g, w in zip(got, want):
+        assert len(g) == len(w) and np.max(np.abs(np.asarray(g) - w)) <= 1e-12

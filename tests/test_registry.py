@@ -131,6 +131,21 @@ def test_corruption_detected(tmp_path):
             db.get_record("x")
 
 
+@pytest.mark.parametrize("mode", ["r", "a"])
+def test_record_past_end_of_file_rejected(tmp_path, mode):
+    rng = np.random.default_rng(7)
+    path = tmp_path / "db.zw3d"
+    with Registry(path, "a") as db:
+        for rid in ("r0", "r1", "r2"):
+            db.register(make_record(rng, rid))
+    cut = path.read_bytes()[:-100]
+    path.write_bytes(cut)
+    for _ in range(2):  # a failed open releases its handle and writer lock
+        with pytest.raises(RegistryCorruptError, match="past the end"):
+            Registry(path, mode)
+    assert path.read_bytes() == cut
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "db.zw3d"
     path.write_bytes(b"NOPE" + bytes(10))
