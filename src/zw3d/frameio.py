@@ -103,6 +103,8 @@ def _read_pnm_header(data: bytes, path: Path) -> tuple[bytes, list[int], int]:
     magic = data[:2]
     if magic not in (b"P4", b"P5", b"P6"):
         raise FrameFormatError(f"{path}: unsupported format {magic!r}")
+    if not data[2:3].isspace():
+        raise FrameFormatError(f"{path}: no whitespace after magic {magic!r}")
     want = 2 if magic == b"P4" else 3  # P4 has no maxval
     fields: list[int] = []
     pos = 2

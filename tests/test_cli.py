@@ -116,6 +116,26 @@ def test_query_zero_size_frames_exit_3(corpus, registered, tmp_path):
     assert "zero size" in err
 
 
+def test_magic_without_whitespace_exit_3(corpus, registered, tmp_path):
+    clip = corpus / "clip000"
+    bad_pbm = tmp_path / "w.pbm"
+    bad_pbm.write_bytes(b"P46\n40 40\n" + bytes(200))
+    code, _, err = run_cli(
+        "register", "--db", tmp_path / "x.zw3d", "--id", "z",
+        "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
+        "--watermark-2d", bad_pbm, "--watermark-depth", bad_pbm,
+    )
+    assert code == 3 and "whitespace after magic" in err, err
+    bad_clip = tmp_path / "clip"
+    bad_clip.mkdir()
+    (bad_clip / "frame_000000.pgm").write_bytes(b"P56 8\n255\n" + bytes(48))
+    code, _, err = run_cli(
+        "query", "--db", registered, "--clip-2d", bad_clip, "--clip-depth", clip / "depth",
+        "--t-2d", 0.1, "--t-depth", 0.1, "--t-fusion", 0.1,
+    )
+    assert code == 3 and "whitespace after magic" in err, err
+
+
 @pytest.mark.parametrize("damage", ["truncate", "bad_id_byte"])
 def test_calibrate_corrupt_registry_exit_3(registered, tmp_path, damage):
     raw = bytearray(registered.read_bytes())

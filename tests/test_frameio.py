@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zw3d.frameio import (
     FrameFormatError,
@@ -56,6 +58,63 @@ def test_rejects_16bit(tmp_path):
     (tmp_path / "deep.pgm").write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(FrameFormatError, match="bit depth"):
         read_frame(tmp_path / "deep.pgm")
+
+
+@pytest.mark.parametrize("raw, reader", [
+    (b"P46\n40 40\n" + bytes(200), read_pbm),   # would read as a P4 of width 6
+    (b"P56 8\n255\n" + bytes(48), read_frame),  # would read as a P5 of width 6
+], ids=["P46", "P56"])
+def test_magic_must_be_followed_by_whitespace(tmp_path, raw, reader):
+    (tmp_path / "f").write_bytes(raw)
+    with pytest.raises(FrameFormatError, match="whitespace after magic"):
+        reader(tmp_path / "f")
+
+
+# Property tests: damaged netpbm files fail only with FrameFormatError.
+
+_NETPBM = (
+    b"P5\n4 3\n255\n" + bytes(range(12)),
+    b"P6\n# c\n3 2\n255\n" + bytes(range(18)),
+    b"P4\n10 3\n" + bytes([0xA5, 0xC0] * 3),
+)
+_FUZZ = settings(derandomize=True, deadline=None, max_examples=150, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _read_every_way(path):
+    """Read ``path`` as a frame (built into a sequence) and as a bitmap."""
+    try:
+        FrameSequence(frames=[read_frame(path)], role="2d")
+    except FrameFormatError:
+        pass
+    try:
+        read_pbm(path)
+    except FrameFormatError:
+        pass
+
+
+@_FUZZ
+@given(data=st.data())
+def test_damaged_netpbm_raises_only_format_error(tmp_path, data):
+    raw = bytearray(data.draw(st.sampled_from(_NETPBM), label="file"))
+    for pos, byte in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                                  st.integers(0, 255)), max_size=4), label="edits"):
+        raw[pos] = byte
+    raw = raw[: data.draw(st.none() | st.integers(0, len(raw)), label="cut")]
+    (tmp_path / "f").write_bytes(bytes(raw))
+    _read_every_way(tmp_path / "f")
+
+
+@_FUZZ
+@given(magic=st.sampled_from([b"P4", b"P5", b"P6", b"P1", b"P"]),
+       fields=st.lists(st.integers(0, 70000) | st.sampled_from([0, 1, 255, 65535]), max_size=4),
+       seps=st.lists(st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"#x\n", b"", b"-"]),
+                     min_size=5, max_size=5),
+       raster=st.binary(max_size=64))
+def test_random_netpbm_header_raises_only_format_error(tmp_path, magic, fields, seps, raster):
+    raw = magic + b"".join(sep + b"%d" % v for sep, v in zip(seps, fields)) + seps[-1] + raster
+    (tmp_path / "f").write_bytes(raw)
+    _read_every_way(tmp_path / "f")
 
 
 # -- clip loading ------------------------------------------------------------

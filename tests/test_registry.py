@@ -1,5 +1,15 @@
+import contextlib
+import hashlib
+import io
+import os
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from zw3d import registry as registry_mod
+from zw3d.cli import main as cli_main
 
 from zw3d.registry import (
     DuplicateIdError,
@@ -202,3 +212,182 @@ def test_store_watermarks_flag(tmp_path):
     with Registry(path, "r") as db:
         _, _, w2d, wdep = db.lookup_ownership("nowm")
         assert not w2d.any() and not wdep.any()
+
+
+
+# -- the v1 byte layout ------------------------------------------------------
+
+# SHA-256 of the file ``_golden_registry`` writes, taken from the writer that
+# spelled the layout out field by field; any drift of the v1 format breaks it.
+GOLDEN_SHA256 = "77b93b073d84a619de5363a516bf6af9d1a96ffb44c8505ce24005a86d9c0417"
+GOLDEN_IDS = [("a", True), ("clip-é", False), ("日本語-3", True)]
+
+
+def _golden_record(k, record_id):
+    """A record built from exact arithmetic only, so its bytes are portable."""
+    i = np.arange(1600)
+    fn_2d = (i - 800 + k) / 64.0
+    fn_2d[:2] = -0.0, 5e-324
+    fn_depth = ((i * 7919 + k) % 1601) / 16.0 - 50.0
+    r, c = np.indices((40, 40))
+    V = ((r * c + k) % 3 == 0).astype(np.uint8)
+    W = ((r ^ c ^ k) & 1).astype(np.uint8)
+    Wd = ((r + 2 * c + k) % 5 < 2).astype(np.uint8)
+    return RegistrationRecord(record_id, fn_2d, fn_depth,
+                              build_ownership_share(build_master_share(V), W),
+                              build_ownership_share(build_master_share(1 - V), Wd), W, Wd)
+
+
+def test_v1_layout_golden_hash(tmp_path):
+    path = tmp_path / "g.zw3d"
+    with Registry(path, "a") as db:
+        for k, (rid, wm) in enumerate(GOLDEN_IDS):
+            db.register(_golden_record(k, rid), store_watermarks=wm)
+    raw = path.read_bytes()
+    id_bytes = sum(len(rid.encode()) for rid, _ in GOLDEN_IDS)
+    assert len(raw) == 14 + 3 * (2 + 27600 + 4) + id_bytes
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_SHA256
+    with Registry(path, "r") as db:
+        for k, (rid, wm) in enumerate(GOLDEN_IDS):
+            want, got = _golden_record(k, rid), db.get_record(rid)
+            assert got.record_id == rid
+            assert got.fn_2d.tobytes() == want.fn_2d.tobytes()
+            np.testing.assert_array_equal(got.o_depth, want.o_depth)
+            np.testing.assert_array_equal(got.w_2d, want.w_2d if wm else 0)
+
+
+# -- I/O calls ---------------------------------------------------------------
+
+class _RecordingOs:
+    """Stands in for ``os`` inside the registry module, logging file calls."""
+
+    LOGGED = ("pread", "preadv", "read", "pwrite", "write", "ftruncate", "fsync", "lseek")
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        real = getattr(os, name)
+        if name not in self.LOGGED:
+            return real
+
+        def logged(*args):
+            if name == "pwrite":
+                self.calls.append((name, args[2], len(args[1])))
+            elif name == "ftruncate":
+                self.calls.append((name, args[1]))
+            else:
+                self.calls.append((name,))
+            return real(*args)
+
+        return logged
+
+
+@pytest.fixture
+def recording_os(monkeypatch):
+    fake = _RecordingOs()
+    monkeypatch.setattr(registry_mod, "os", fake)
+    return fake
+
+
+def test_scan_issues_one_read_per_record(tmp_path, recording_os):
+    rng = np.random.default_rng(11)
+    path = tmp_path / "db.zw3d"
+    with Registry(path, "a") as db:
+        for i in range(9):
+            db.register(make_record(rng, f"r{i}"))
+    with Registry(path, "r") as db:
+        recording_os.calls.clear()
+        seen = list(db.iterate_features())
+    assert len(seen) == 9
+    assert recording_os.calls == [("preadv",)] * 9
+    # each record's features are its own writable memory
+    seen[0][1][:] = 0.0
+    assert not np.shares_memory(seen[0][1], seen[1][1]) and seen[1][1].any()
+
+
+def test_append_fsyncs_record_before_count(tmp_path, recording_os):
+    rng = np.random.default_rng(12)
+    path = tmp_path / "db.zw3d"
+    with Registry(path, "a") as db:
+        db.register(make_record(rng, "a"))
+        at = path.stat().st_size
+        recording_os.calls.clear()
+        db.register(make_record(rng, "bb"))
+    size = path.stat().st_size
+    assert recording_os.calls == [
+        ("pwrite", at, size - at),   # the record, after the last counted one
+        ("ftruncate", size),
+        ("fsync",),
+        ("pwrite", 0, 14),           # then the header with the new count
+        ("fsync",),
+    ]
+
+
+def test_torn_append_reopens_with_old_count(tmp_path):
+    rng = np.random.default_rng(13)
+    recs = [make_record(rng, rid) for rid in ("r0", "r1", "torn")]
+    clean, torn = tmp_path / "clean.zw3d", tmp_path / "torn.zw3d"
+    with Registry(clean, "a") as db:
+        for rec in recs[:2]:
+            db.register(rec)
+        base = clean.read_bytes()
+        db.register(recs[2])
+    full = clean.read_bytes()
+    # the header still counts 2 while any prefix of the third record is on disk
+    torn.write_bytes(base + full[len(base):])
+    for cut in range(len(full), len(base) - 1, -1):
+        os.truncate(torn, cut)
+        with Registry(torn, "r") as db:
+            assert db.ids() == ["r0", "r1"]
+    # the next append overwrites the torn tail: the file equals a clean append
+    tail = len(full) - len(base)
+    for keep in (0, 1, 2, 6, 2 + 4 + 12800, tail - 4, tail - 1, tail):
+        torn.write_bytes(base + full[len(base) : len(base) + keep])
+        with Registry(torn, "a") as db:
+            assert db.register(recs[2]) == 3
+        with Registry(torn, "r") as db:
+            assert db.ids() == ["r0", "r1", "torn"]
+        assert torn.read_bytes() == full
+
+
+# -- property tests: damaged files fail only with RegistryCorruptError --------
+
+@pytest.fixture(scope="module")
+def small_registry(tmp_path_factory):
+    rng = np.random.default_rng(14)
+    path = tmp_path_factory.mktemp("fuzz") / "db.zw3d"
+    with Registry(path, "a") as db:
+        for rid in ("c0", "c-é"):
+            db.register(make_record(rng, rid))
+    return path.read_bytes()
+
+
+def _read_everything(path):
+    with Registry(path, "r") as db:
+        list(db.iterate_features())
+        for rid in db.ids():
+            db.get_record(rid)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_registry_raises_only_corrupt_error(small_registry, tmp_path, data):
+    n = len(small_registry)
+    raw = bytearray(small_registry[: data.draw(st.none() | st.integers(0, n - 1), label="cut")])
+    for pos, mask in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 255)),
+                                        max_size=3), label="flips"):
+        if pos < len(raw):
+            raw[pos] ^= mask
+    if raw == small_registry:
+        return
+    path = tmp_path / "damaged.zw3d"
+    path.write_bytes(bytes(raw))
+    try:
+        _read_everything(path)
+    except RegistryCorruptError:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main(["calibrate", "--db", str(path), "--out", str(tmp_path / "t.csv")])
+        assert code == 3, err.getvalue()
