@@ -1,225 +1,75 @@
 """Deterministic clip attacks for robustness benchmarking.
 
-Fourteen families, 26 parameterized instances in the standard catalog:
-
-    gb  Gaussian blur, window 9 or 15, variance 1
-    af  average filter, window 9 or 15
-    mf  median filter, window 9 or 15
-    cc  contrast change +-30% around mid-gray 128
-    cb  brightness gain +-30% (multiplicative)
-    gt  gamma transform, gamma 0.6 or 1.4
-    gn  additive Gaussian noise, variance 0.005 or 0.01 on the [0,1] scale
-    li  opaque checkerboard logo (8x8 cells), 32 or 64 px, upper-left corner
-    rs  bilinear downscale to 1/2 or 1/5 of each dimension
-    cr  crop 5% or 10% of width/height from every edge
-    rt  rotation by 45 (bilinear, black fill) or 90 degrees (exact) about center
-    fl  vertical or horizontal mirror
-    fr  replace a seeded random 5% of frames with their predecessor
-    fd  drop a seeded random 5% of frames
+``FAMILY_PARAMS`` is the single statement of the fourteen attack families:
+for each one it holds the parameter name and meaning, the allowed values with
+the slug each gives the instance name, the label format, the clip-level op and
+whether the op is stochastic. The 26-instance ``attack_catalog``,
+``apply_attack``'s dispatch, ``STOCHASTIC_FAMILIES`` and the CLI's attack
+flags all come from it.
 
 Geometric families change frame size (rs, cr) or count (fd); everything else
-preserves shape. The stochastic families (gn, fr, fd) require a seed and are
-bit-reproducible under it.
+preserves shape. Ops work on whole frames, gray ``(h, w)`` or colour
+``(h, w, 3)`` alike; the arithmetic ones see a colour frame as three
+contiguous float64 planes ``(3, h, w)``. The stochastic families (gn, fr, fd)
+require a seed and are bit-reproducible under it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import ndimage
 
 from .frameio import FrameSequence, bilinear_matrix
 
-STOCHASTIC_FAMILIES = ("gn", "fr", "fd")
-
-FAMILY_PARAMS = {
-    "gb": ("window", (9, 15)),
-    "af": ("window", (9, 15)),
-    "mf": ("window", (9, 15)),
-    "cc": ("delta", (-0.30, 0.30)),
-    "cb": ("delta", (-0.30, 0.30)),
-    "gt": ("gamma", (0.6, 1.4)),
-    "gn": ("variance", (0.005, 0.01)),
-    "li": ("size", (32, 64)),
-    "rs": ("factor", (2, 5)),
-    "cr": ("fraction", (0.05, 0.10)),
-    "rt": ("angle", (45, 90)),
-    "fl": ("direction", ("vertical", "horizontal")),
-    "fr": ("rate", (0.05,)),
-    "fd": ("rate", (0.05,)),
-}
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    family: str
-    params: dict = field(default_factory=dict)
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILY_PARAMS:
-            raise ValueError(f"unknown attack family {self.family!r}")
-        key, allowed = FAMILY_PARAMS[self.family]
-        if key not in self.params:
-            raise ValueError(f"attack {self.family} needs parameter {key!r}")
-        if self.params[key] not in allowed:
-            raise ValueError(
-                f"attack {self.family}: {key}={self.params[key]!r} not in {allowed}"
-            )
-        if self.family in STOCHASTIC_FAMILIES and self.seed is None:
-            raise ValueError(f"attack {self.family} is stochastic and needs a seed")
-
-    @property
-    def value(self):
-        return self.params[FAMILY_PARAMS[self.family][0]]
-
-    @property
-    def name(self) -> str:
-        """Filesystem-safe slug, e.g. gb9, ccm30, gn005, flv."""
-        v = self.value
-        if self.family in ("cc", "cb"):
-            return f"{self.family}{'m' if v < 0 else 'p'}{round(abs(v) * 100)}"
-        if self.family == "gt":
-            return f"{self.family}{str(v).replace('.', '')}"
-        if self.family == "gn":
-            return f"{self.family}{str(v).split('.')[1]}"
-        if self.family == "cr":
-            return f"{self.family}{round(v * 100)}"
-        if self.family == "fl":
-            return f"{self.family}{v[0]}"
-        if self.family in ("fr", "fd"):
-            return f"{self.family}{round(v * 100)}"
-        return f"{self.family}{v}"
-
-    @property
-    def label(self) -> str:
-        """Human-readable table label, e.g. 'GB 9x9', 'CC -30%'."""
-        fam = self.family.upper()
-        v = self.value
-        if self.family in ("gb", "af", "mf", "li"):
-            return f"{fam} {v}x{v}"
-        if self.family in ("cc", "cb"):
-            return f"{fam} {round(v * 100):+d}%"
-        if self.family in ("cr", "fr", "fd"):
-            return f"{fam} {round(v * 100)}%"
-        if self.family == "rs":
-            return f"{fam} 1/{v}"
-        if self.family == "rt":
-            return f"{fam} {v}"
-        if self.family == "fl":
-            return f"{fam} {v}"
-        return f"{fam} {v}"
-
-
-def attack_catalog(seed: int = 0) -> list[AttackSpec]:
-    """The 26 standard attack instances, in benchmark table order.
-
-    Stochastic entries get deterministic seeds derived from ``seed``.
-    """
-    entries = [
-        ("gb", {"window": 9}), ("gb", {"window": 15}),
-        ("af", {"window": 9}), ("af", {"window": 15}),
-        ("mf", {"window": 9}), ("mf", {"window": 15}),
-        ("cc", {"delta": -0.30}), ("cc", {"delta": 0.30}),
-        ("cb", {"delta": -0.30}), ("cb", {"delta": 0.30}),
-        ("gt", {"gamma": 0.6}), ("gt", {"gamma": 1.4}),
-        ("gn", {"variance": 0.005}), ("gn", {"variance": 0.01}),
-        ("li", {"size": 32}), ("li", {"size": 64}),
-        ("rs", {"factor": 2}), ("rs", {"factor": 5}),
-        ("cr", {"fraction": 0.05}), ("cr", {"fraction": 0.10}),
-        ("rt", {"angle": 45}), ("rt", {"angle": 90}),
-        ("fl", {"direction": "vertical"}), ("fl", {"direction": "horizontal"}),
-        ("fr", {"rate": 0.05}), ("fd", {"rate": 0.05}),
-    ]
-    specs = []
-    for idx, (family, params) in enumerate(entries):
-        s = seed + idx if family in STOCHASTIC_FAMILIES else None
-        specs.append(AttackSpec(family=family, params=params, seed=s))
-    return specs
-
-
 # ---------------------------------------------------------------------------
 # per-frame transforms
 # ---------------------------------------------------------------------------
 
-def _per_channel(frame: np.ndarray, fn) -> np.ndarray:
-    f = frame.astype(np.float64)
-    if f.ndim == 2:
-        out = fn(f)
-    else:
-        out = np.stack([fn(f[:, :, c]) for c in range(f.shape[2])], axis=2)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+def _u8(x: np.ndarray) -> np.ndarray:
+    return np.clip(np.rint(x), 0, 255).astype(np.uint8)
 
 
-def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
-    x = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
-    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return k / k.sum()
+def _planes(fn, frame, value):
+    """Apply ``fn(x, value)`` to a frame as contiguous float64 planes, ``(h, w)``
+    or ``(3, h, w)``; round and clamp the result to uint8, colour axis back last."""
+    if frame.ndim == 2:
+        return _u8(fn(frame.astype(np.float64), value))
+    x = frame.transpose(2, 0, 1).astype(np.float64, order="C")
+    return np.ascontiguousarray(_u8(fn(x, value)).transpose(1, 2, 0))
 
 
-def _blur(frame, window, sigma=1.0):
-    k = _gaussian_kernel(window, sigma)
-
-    def go(ch):
-        tmp = ndimage.correlate1d(ch, k, axis=0, mode="nearest")
-        return ndimage.correlate1d(tmp, k, axis=1, mode="nearest")
-
-    return _per_channel(frame, go)
+def _window(x: np.ndarray, w: int) -> tuple:
+    """A w x w filter footprint that leaves a leading colour axis alone."""
+    return (1,) * (x.ndim - 2) + (w, w)
 
 
-def _average(frame, window):
-    return _per_channel(frame, lambda ch: ndimage.uniform_filter(ch, size=window, mode="nearest"))
-
-
-def _median(frame, window):
-    return _per_channel(frame, lambda ch: ndimage.median_filter(ch, size=window, mode="nearest"))
-
-
-def _contrast(frame, delta):
-    return _per_channel(frame, lambda ch: 128.0 + (ch - 128.0) * (1.0 + delta))
-
-
-def _brightness(frame, delta):
-    return _per_channel(frame, lambda ch: ch * (1.0 + delta))
-
-
-def _gamma(frame, g):
-    return _per_channel(frame, lambda ch: np.power(ch / 255.0, g) * 255.0)
-
-
-def _noise(frame, variance, rng):
-    x = frame.astype(np.float64) / 255.0
-    x = x + rng.normal(0.0, math.sqrt(variance), size=x.shape)
-    return np.clip(np.rint(np.clip(x, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
-
-
-def _checkerboard(size: int) -> np.ndarray:
-    cell = size // 8
-    idx = np.arange(size) // cell
-    board = ((idx[:, None] + idx[None, :]) % 2 == 0)
-    return np.where(board, 255, 0).astype(np.uint8)
+def _blur(x, window, sigma=1.0):
+    t = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    k /= k.sum()
+    return ndimage.correlate1d(ndimage.correlate1d(x, k, axis=-2, mode="nearest"),
+                               k, axis=-1, mode="nearest")
 
 
 def _logo(frame, size):
+    """Opaque 8x8-cell checkerboard, white cell first, in the upper-left corner."""
+    idx = np.arange(size) // (size // 8)
+    logo = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 255, 0).astype(np.uint8)
+    h, w = min(size, frame.shape[0]), min(size, frame.shape[1])
     out = frame.copy()
-    logo = _checkerboard(size)
-    h = min(size, frame.shape[0])
-    w = min(size, frame.shape[1])
-    if out.ndim == 2:
-        out[:h, :w] = logo[:h, :w]
-    else:
-        out[:h, :w, :] = logo[:h, :w, None]
+    out[:h, :w] = logo[:h, :w].reshape((h, w) + (1,) * (frame.ndim - 2))
     return out
 
 
-def _resize_frame(frame, factor):
-    h = max(1, int(np.rint(frame.shape[0] / factor)))
-    w = max(1, int(np.rint(frame.shape[1] / factor)))
-    m_y = bilinear_matrix(frame.shape[0], h)
-    m_x = bilinear_matrix(frame.shape[1], w)
-    return _per_channel(frame, lambda ch: m_y @ ch @ m_x.T)
+def _resize(x, factor):
+    """Bilinear downscale of each side by ``factor``: one matmul pair over the planes."""
+    h = max(1, int(np.rint(x.shape[-2] / factor)))
+    w = max(1, int(np.rint(x.shape[-1] / factor)))
+    return bilinear_matrix(x.shape[-2], h) @ x @ bilinear_matrix(x.shape[-1], w).T
 
 
 def _crop(frame, fraction):
@@ -229,10 +79,15 @@ def _crop(frame, fraction):
 
 
 def _rotate(frame, angle):
+    """Rotation about the centre: 90 on a square frame is an exact grid
+    permutation, anything else an inverse-map bilinear resample, black fill."""
     if angle == 90 and frame.shape[0] == frame.shape[1]:
-        return np.rot90(frame).copy()  # exact grid permutation
-    # generic inverse-map bilinear rotation about the frame center, black fill
-    h, w = frame.shape[:2]
+        return np.rot90(frame).copy()
+    return _planes(_resample_rotation, frame, angle)
+
+
+def _resample_rotation(x, angle):
+    h, w = x.shape[-2:]
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     theta = math.radians(angle)
     ct, st = math.cos(theta), math.sin(theta)
@@ -247,13 +102,14 @@ def _rotate(frame, angle):
     x1 = np.minimum(x0 + 1, w - 1)
     fy = np.clip(src_y - y0, 0.0, 1.0)
     fx = np.clip(src_x - x0, 0.0, 1.0)
+    flat = x.reshape(x.shape[:-2] + (h * w,))
 
-    def go(ch):
-        top = ch[y0, x0] * (1 - fx) + ch[y0, x1] * fx
-        bot = ch[y1, x0] * (1 - fx) + ch[y1, x1] * fx
-        return np.where(inside, top * (1 - fy) + bot * fy, 0.0)
+    def at(yi, xi):  # one gather along every plane
+        return np.take(flat, yi * w + xi, axis=-1)
 
-    return _per_channel(frame, go)
+    top = at(y0, x0) * (1 - fx) + at(y0, x1) * fx
+    bot = at(y1, x0) * (1 - fx) + at(y1, x1) * fx
+    return np.where(inside, top * (1 - fy) + bot * fy, 0.0)
 
 
 def _flip(frame, direction):
@@ -261,54 +117,141 @@ def _flip(frame, direction):
 
 
 # ---------------------------------------------------------------------------
-# clip-level application
+# clip-level ops: op(frames, value, seed) -> frames
 # ---------------------------------------------------------------------------
+
+def _each(fn):
+    """Apply ``fn(frame, value)`` to every uint8 frame."""
+    return lambda frames, v, seed: [fn(f, v) for f in frames]
+
+
+def _pixels(fn):
+    """Apply ``fn(x, value)`` to every frame's float64 planes (see ``_planes``)."""
+    return lambda frames, v, seed: [_planes(fn, f, v) for f in frames]
+
+
+def _noise(frames, variance, seed):
+    """Additive Gaussian noise on the [0, 1] scale, one generator across the clip."""
+    rng = np.random.default_rng(seed)
+    sd = math.sqrt(variance)
+    return [_u8(np.clip(f.astype(np.float64) / 255.0 + rng.normal(0.0, sd, size=f.shape),
+                        0.0, 1.0) * 255.0) for f in frames]
+
+
+def _replace(frames, rate, seed):
+    """Replace a seeded random ``rate`` share of frames (never the first) with their predecessor."""
+    out = [f.copy() for f in frames]
+    n = int(np.rint(rate * len(frames)))
+    if n > 0 and len(frames) > 1:
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(np.arange(1, len(frames)), size=min(n, len(frames) - 1), replace=False)
+        for i in sorted(int(p) for p in picks):
+            out[i] = out[i - 1].copy()
+    return out
+
+
+def _drop(frames, rate, seed):
+    """Drop a seeded random ``rate`` share of frames, keeping at least one."""
+    n = int(np.rint(rate * len(frames)))
+    rng = np.random.default_rng(seed)
+    drop = {int(d) for d in rng.choice(len(frames), size=min(n, len(frames) - 1), replace=False)}
+    return [f.copy() for i, f in enumerate(frames) if i not in drop]
+
+
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+class Family(NamedTuple):
+    param: str            # the one parameter's name (and the CLI flag's)
+    doc: str              # what the parameter means, in what unit (the flag's help)
+    values: dict          # allowed value -> slug in the instance name, in catalog order
+    label: str            # label format over ``v``, after the upper-case family
+    op: Callable          # op(frames, value, seed) -> frames
+    stochastic: bool = False  # the op draws from ``seed``, so a seed is required
+
+
+FAMILY_PARAMS = {
+    # Gaussian blur (variance 1), average and median filters over a w x w window
+    "gb": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}",
+                 _pixels(_blur)),
+    "af": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}", _pixels(
+        lambda x, w: ndimage.uniform_filter(x, size=_window(x, w), mode="nearest"))),
+    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}", _pixels(
+        lambda x, w: ndimage.median_filter(x, size=_window(x, w), mode="nearest"))),
+    # contrast change around mid-gray 128, and multiplicative brightness gain
+    "cc": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"}, "{v:+.0%}",
+                 _pixels(lambda x, d: 128.0 + (x - 128.0) * (1.0 + d))),
+    "cb": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"}, "{v:+.0%}",
+                 _pixels(lambda x, d: x * (1.0 + d))),
+    "gt": Family("gamma", "exponent", {0.6: "06", 1.4: "14"}, "{v}", _pixels(
+        lambda x, g: np.power(x / 255.0, g) * 255.0)),
+    # additive Gaussian noise
+    "gn": Family("variance", "variance on the [0,1] scale", {0.005: "005", 0.01: "01"}, "{v}",
+                 _noise, stochastic=True),
+    # opaque checkerboard logo in the upper-left corner
+    "li": Family("size", "logo side in pixels", {32: "32", 64: "64"}, "{v}x{v}", _each(_logo)),
+    # bilinear downscale of each side
+    "rs": Family("factor", "downscale denominator", {2: "2", 5: "5"}, "1/{v}", _pixels(_resize)),
+    # crop from every edge
+    "cr": Family("fraction", "share cut from each edge", {0.05: "5", 0.10: "10"}, "{v:.0%}",
+                 _each(_crop)),
+    # rotation about the centre, and vertical or horizontal mirror
+    "rt": Family("angle", "angle in degrees", {45: "45", 90: "90"}, "{v}", _each(_rotate)),
+    "fl": Family("direction", "mirror axis", {"vertical": "v", "horizontal": "h"}, "{v}",
+                 _each(_flip)),
+    # frame replacement and frame dropping
+    "fr": Family("rate", "share of frames", {0.05: "5"}, "{v:.0%}", _replace, stochastic=True),
+    "fd": Family("rate", "share of frames", {0.05: "5"}, "{v:.0%}", _drop, stochastic=True),
+}
+
+STOCHASTIC_FAMILIES = tuple(f for f, fam in FAMILY_PARAMS.items() if fam.stochastic)
+
+
+@dataclass(frozen=True)
+class AttackSpec:
+    family: str
+    params: dict = field(default_factory=dict)
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.family not in FAMILY_PARAMS:
+            raise ValueError(f"unknown attack family {self.family!r}")
+        family = FAMILY_PARAMS[self.family]
+        key, allowed = family.param, tuple(family.values)
+        if key not in self.params:
+            raise ValueError(f"attack {self.family} needs parameter {key!r}")
+        if self.params[key] not in allowed:
+            raise ValueError(f"attack {self.family}: {key}={self.params[key]!r} not in {allowed}")
+        if self.family in STOCHASTIC_FAMILIES and self.seed is None:
+            raise ValueError(f"attack {self.family} is stochastic and needs a seed")
+
+    @property
+    def value(self):
+        return self.params[FAMILY_PARAMS[self.family].param]
+
+    @property
+    def name(self) -> str:
+        """Filesystem-safe slug, e.g. gb9, ccm30, gn005, flv."""
+        return self.family + FAMILY_PARAMS[self.family].values[self.value]
+
+    @property
+    def label(self) -> str:
+        """Human-readable table label, e.g. 'GB 9x9', 'CC -30%'."""
+        return f"{self.family.upper()} " + FAMILY_PARAMS[self.family].label.format(v=self.value)
+
+
+def attack_catalog(seed: int = 0) -> list[AttackSpec]:
+    """The 26 standard attack instances: every family's values, in table order.
+
+    Stochastic entries get the deterministic seed ``seed + index``.
+    """
+    entries = [(fam, f.param, v) for fam, f in FAMILY_PARAMS.items() for v in f.values]
+    return [AttackSpec(fam, {key: v}, seed + i if fam in STOCHASTIC_FAMILIES else None)
+            for i, (fam, key, v) in enumerate(entries)]
+
 
 def apply_attack(seq: FrameSequence, spec: AttackSpec) -> FrameSequence:
     """Apply one attack instance to a clip; bit-reproducible under the seed."""
-    fam, v = spec.family, spec.value
-    frames = seq.frames
-    if fam == "fr":
-        rng = np.random.default_rng(spec.seed)
-        out = [f.copy() for f in frames]
-        n = int(np.rint(v * len(frames)))
-        if n > 0 and len(frames) > 1:
-            picks = rng.choice(np.arange(1, len(frames)), size=min(n, len(frames) - 1), replace=False)
-            for i in sorted(int(p) for p in picks):
-                out[i] = out[i - 1].copy()
-        return FrameSequence(frames=out, role=seq.role, fps=seq.fps)
-    if fam == "fd":
-        rng = np.random.default_rng(spec.seed)
-        n = int(np.rint(v * len(frames)))
-        drop = set(int(d) for d in rng.choice(len(frames), size=min(n, len(frames) - 1), replace=False))
-        out = [f.copy() for i, f in enumerate(frames) if i not in drop]
-        return FrameSequence(frames=out, role=seq.role, fps=seq.fps)
-
-    if fam == "gn":
-        rng = np.random.default_rng(spec.seed)
-        out = [_noise(f, v, rng) for f in frames]
-    elif fam == "gb":
-        out = [_blur(f, v) for f in frames]
-    elif fam == "af":
-        out = [_average(f, v) for f in frames]
-    elif fam == "mf":
-        out = [_median(f, v) for f in frames]
-    elif fam == "cc":
-        out = [_contrast(f, v) for f in frames]
-    elif fam == "cb":
-        out = [_brightness(f, v) for f in frames]
-    elif fam == "gt":
-        out = [_gamma(f, v) for f in frames]
-    elif fam == "li":
-        out = [_logo(f, v) for f in frames]
-    elif fam == "rs":
-        out = [_resize_frame(f, v) for f in frames]
-    elif fam == "cr":
-        out = [_crop(f, v) for f in frames]
-    elif fam == "rt":
-        out = [_rotate(f, v) for f in frames]
-    elif fam == "fl":
-        out = [_flip(f, v) for f in frames]
-    else:  # unreachable: AttackSpec validation covers the family set
-        raise ValueError(f"unknown attack family {fam!r}")
+    out = FAMILY_PARAMS[spec.family].op(seq.frames, spec.value, spec.seed)
     return FrameSequence(frames=out, role=seq.role, fps=seq.fps)

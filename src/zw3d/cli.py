@@ -19,13 +19,13 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .attacks import FAMILY_PARAMS as ATTACK_PARAM_SETS
-from .attacks import AttackSpec, apply_attack, attack_catalog
+from .attacks import FAMILY_PARAMS, STOCHASTIC_FAMILIES, AttackSpec, apply_attack, attack_catalog
 from .dibr import BaselineConfig, synthesize_clip
 from .evaluation import ber_table, det_curve, write_ber_csv, write_det_csv
 from .features import extract_feature
 from .frameio import FrameFormatError, load_clip, normalize_clip, save_clip
 from .fusion import (
+    MODES,
     Thresholds,
     calibration_report,
     fused_ber,
@@ -61,7 +61,7 @@ def _read_config(path: str | None) -> dict:
     if not path:
         return {}
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -93,9 +93,13 @@ def _thresholds(args, config: dict) -> Thresholds:
     gamma = _setting(args, config, "gamma", float, 0.1)
     values = {}
     if getattr(args, "thresholds", None):
-        with open(args.thresholds, newline="") as fh:
-            for row in csv.DictReader(fh):
-                values[row["threshold"]] = float(row["value"])
+        with open(args.thresholds, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for column in ("threshold", "value"):
+                if column not in (reader.fieldnames or ()):
+                    raise ValueError(f"thresholds CSV {args.thresholds} has no {column!r} column")
+            for row in reader:
+                values[row["threshold"]] = float(row["value"] or "")
     for name in ("t_2d", "t_depth", "t_fusion"):
         v = _setting(args, config, name, float)
         if v is not None:
@@ -167,9 +171,8 @@ def cmd_identify(args, config) -> int:
 
 
 def _attack_spec_from_args(args, config) -> AttackSpec:
-    key = ATTACK_PARAM_SETS[args.family][0]
-    attr = "gamma_value" if key == "gamma" else key  # --gamma is taken by fusion elsewhere
-    raw = getattr(args, attr, None)
+    key = FAMILY_PARAMS[args.family].param
+    raw = getattr(args, key)
     if raw is None:
         raise ValueError(f"attack {args.family} needs --{key}")
     seed = _setting(args, config, "seed", int)
@@ -211,7 +214,7 @@ def cmd_calibrate(args, config) -> int:
 
 def _read_scores(path) -> list[float]:
     out = []
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             out.append(float(line))
@@ -281,49 +284,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero the stored watermark fields (disables BER evaluation)")
     p.set_defaults(fn=cmd_register)
 
-    p = sub.add_parser("query", help="similarity retrieval against the registry")
-    p.add_argument("--db", required=True)
-    p.add_argument("--clip-2d", required=True)
-    p.add_argument("--clip-depth", required=True)
-    p.add_argument("--mode", choices=("independent", "fused"), default="independent")
-    p.add_argument("--thresholds", help="CSV written by calibrate")
-    p.add_argument("--t-2d", dest="t_2d", type=float)
-    p.add_argument("--t-depth", dest="t_depth", type=float)
-    p.add_argument("--t-fusion", dest="t_fusion", type=float)
-    p.add_argument("--gamma", type=float)
+    retrieval = argparse.ArgumentParser(add_help=False)
+    retrieval.add_argument("--db", required=True)
+    retrieval.add_argument("--clip-2d", required=True)
+    retrieval.add_argument("--clip-depth", required=True)
+    retrieval.add_argument("--mode", choices=MODES, default="independent")
+    retrieval.add_argument("--thresholds", help="CSV written by calibrate")
+    retrieval.add_argument("--t-2d", dest="t_2d", type=float)
+    retrieval.add_argument("--t-depth", dest="t_depth", type=float)
+    retrieval.add_argument("--t-fusion", dest="t_fusion", type=float)
+    retrieval.add_argument("--gamma", type=float)
+
+    p = sub.add_parser("query", parents=[retrieval], help="similarity retrieval against the registry")
     p.set_defaults(fn=cmd_query)
 
-    p = sub.add_parser("identify", help="recover watermarks for a matched record")
-    p.add_argument("--db", required=True)
-    p.add_argument("--clip-2d", required=True)
-    p.add_argument("--clip-depth", required=True)
+    p = sub.add_parser("identify", parents=[retrieval], help="recover watermarks for a matched record")
     p.add_argument("--id", help="record id (or use --auto)")
     p.add_argument("--auto", action="store_true", help="chain a query and identify the best match")
-    p.add_argument("--mode", choices=("independent", "fused"), default="independent")
-    p.add_argument("--thresholds")
-    p.add_argument("--t-2d", dest="t_2d", type=float)
-    p.add_argument("--t-depth", dest="t_depth", type=float)
-    p.add_argument("--t-fusion", dest="t_fusion", type=float)
-    p.add_argument("--gamma", type=float)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_identify)
 
     p = sub.add_parser("attack", help="apply one attack instance to a clip directory")
-    p.add_argument("--family", required=True, choices=sorted(ATTACK_PARAM_SETS))
+    p.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--role", choices=("2d", "depth", "synthesized"), default="2d")
-    p.add_argument("--window", type=int, help="gb/af/mf window")
-    p.add_argument("--delta", type=float, help="cc/cb signed fraction, e.g. -0.30")
-    p.add_argument("--gamma", dest="gamma_value", type=float, help="gt exponent")
-    p.add_argument("--variance", type=float, help="gn variance on the [0,1] scale")
-    p.add_argument("--size", type=int, help="li logo size")
-    p.add_argument("--factor", type=int, help="rs downscale denominator")
-    p.add_argument("--fraction", type=float, help="cr edge fraction")
-    p.add_argument("--angle", type=int, help="rt angle")
-    p.add_argument("--direction", choices=("vertical", "horizontal"), help="fl mirror axis")
-    p.add_argument("--rate", type=float, help="fr/fd rate")
-    p.add_argument("--seed", type=int, help="seed for gn/fr/fd")
+    flags: dict[str, tuple] = {}  # parameter -> (meaning, allowed values, families)
+    for family, spec in FAMILY_PARAMS.items():
+        doc, values, families = flags.setdefault(spec.param, (spec.doc, tuple(spec.values), []))
+        if (doc, values) != (spec.doc, tuple(spec.values)):
+            raise ValueError(f"--{spec.param} differs between {families[0]} and {family}")
+        families.append(family)
+    for key, (doc, values, families) in flags.items():
+        kind = type(values[0])
+        p.add_argument(f"--{key}", type=kind, choices=values if kind is str else None,
+                       help=f"{'/'.join(families)} {doc}: {', '.join(map(str, values))}")
+    p.add_argument("--seed", type=int, help=f"seed for {'/'.join(STOCHASTIC_FAMILIES)}")
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("dibr", help="synthesize left/right views at one or more baselines")
@@ -379,7 +375,7 @@ def main(argv=None) -> int:
     except UnknownIdError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNKNOWN_ID
-    except (FrameFormatError, RegistryError, FileNotFoundError, OSError) as e:
+    except (FrameFormatError, RegistryError, UnicodeDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except ValueError as e:

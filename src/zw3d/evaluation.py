@@ -26,16 +26,28 @@ class DetPoint:
     pfn: float
 
 
-def compute_rates(genuine_scores, impostor_scores, threshold: float) -> tuple[float, float]:
-    """(false-positive, false-negative) fractions at one threshold.
-
-    A match requires score < threshold, so impostors strictly below count as
-    false positives and genuines at or above count as false negatives.
-    """
+def _scores(genuine_scores, impostor_scores) -> tuple[np.ndarray, np.ndarray]:
     genuine = np.asarray(genuine_scores, dtype=np.float64)
     impostor = np.asarray(impostor_scores, dtype=np.float64)
     if genuine.size == 0 or impostor.size == 0:
         raise ValueError("score lists must be nonempty")
+    if np.isnan(genuine).any() or np.isnan(impostor).any():
+        raise ValueError("scores must not be NaN")
+    return genuine, impostor
+
+
+def compute_rates(genuine_scores, impostor_scores, threshold: float) -> tuple[float, float]:
+    """(false-positive, false-negative) fractions at one threshold.
+
+    A match requires score < threshold, so impostors strictly below count as
+    false positives and genuines at or above count as false negatives. Scores
+    and the threshold may be infinite and keep their order: a +inf score
+    never matches a finite threshold, a -inf score matches every threshold
+    above it. NaN raises ``ValueError``.
+    """
+    genuine, impostor = _scores(genuine_scores, impostor_scores)
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     pfp = float((impostor < threshold).sum()) / impostor.size
     pfn = float((genuine >= threshold).sum()) / genuine.size
     return pfp, pfn
@@ -44,16 +56,16 @@ def compute_rates(genuine_scores, impostor_scores, threshold: float) -> tuple[fl
 def det_curve(genuine_scores, impostor_scores) -> list[DetPoint]:
     """Sweep thresholds over the merged score set (plus both extremes).
 
-    The first point is always (pfp=0, pfn=1) and the last (pfp=1, pfn=0);
-    pfp is nondecreasing and pfn nonincreasing along the curve.
+    For finite nonnegative scores (distances) the first point is (pfp=0,
+    pfn=1) and the last (pfp=1, pfn=0); pfp is nondecreasing and pfn
+    nonincreasing along the curve. Infinite scores keep their order as in
+    ``compute_rates``, so a +inf genuine score stays a false negative at the
+    last point; NaN raises ``ValueError``.
     """
-    genuine = np.asarray(genuine_scores, dtype=np.float64)
-    impostor = np.asarray(impostor_scores, dtype=np.float64)
-    if genuine.size == 0 or impostor.size == 0:
-        raise ValueError("score lists must be nonempty")
+    genuine, impostor = _scores(genuine_scores, impostor_scores)
     merged = np.unique(np.concatenate([genuine, impostor]))
     thresholds = np.concatenate([[0.0], merged, [np.nextafter(merged[-1], np.inf)]])
-    return [DetPoint(float(t), *compute_rates(genuine_scores, impostor_scores, float(t)))
+    return [DetPoint(float(t), *compute_rates(genuine, impostor, float(t)))
             for t in np.unique(thresholds)]
 
 

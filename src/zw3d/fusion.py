@@ -38,12 +38,18 @@ _U = np.finfo(np.float64).eps / 2  # unit roundoff
 
 @dataclass
 class Thresholds:
+    """Per-channel and fused match thresholds plus the fusion gamma. A score
+    matches when it is strictly below its threshold, so a threshold of +inf
+    matches every finite score. A NaN threshold or gamma raises ValueError."""
+
     t_2d: float
     t_depth: float
     t_fusion: float
     gamma: float = 0.1
 
     def __post_init__(self):
+        if np.isnan([self.t_2d, self.t_depth, self.t_fusion, self.gamma]).any():
+            raise ValueError("thresholds and gamma must not be NaN")
         if min(self.t_2d, self.t_depth, self.t_fusion) < 0:
             raise ValueError("thresholds must be nonnegative")
         if self.gamma <= -1:

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from zw3d.attacks import AttackSpec, apply_attack, attack_catalog
+from zw3d.attacks import FAMILY_PARAMS, STOCHASTIC_FAMILIES, AttackSpec, apply_attack, attack_catalog
 from zw3d.frameio import FrameSequence
 
 
@@ -56,6 +58,17 @@ def test_stochastic_families_need_seed():
     with pytest.raises(ValueError, match="seed"):
         AttackSpec("gn", {"variance": 0.005})
     AttackSpec("gn", {"variance": 0.005}, seed=1)  # fine with a seed
+
+
+def test_stochastic_families_come_from_table():
+    assert STOCHASTIC_FAMILIES == ("gn", "fr", "fd")
+    for family, spec in FAMILY_PARAMS.items():
+        params = {spec.param: next(iter(spec.values))}
+        if family in STOCHASTIC_FAMILIES:
+            with pytest.raises(ValueError, match="seed"):
+                AttackSpec(family, params)
+        else:
+            AttackSpec(family, params)
 
 
 # -- involutions and exact geometry ------------------------------------------------
@@ -211,3 +224,60 @@ def test_color_frames_pass_through_families():
                  AttackSpec("rt", {"angle": 45}), AttackSpec("fl", {"direction": "vertical"})):
         out = apply_attack(seq, spec)
         assert out.frames[0].ndim == 3
+
+
+# -- golden outputs ----------------------------------------------------------------
+
+# SHA-256 over every output frame's shape and bytes, per catalog instance (seed
+# 11), across the four clips of ``golden_clips``; taken from the per-channel,
+# per-family implementation that the family table replaced.
+GOLDEN = {
+    "gb9": "ed42a254d9a8f2d5b489aa98ec10027a9202d8e0d7b391e1c6554c001fc6b389",
+    "gb15": "3840919b9752f9573824d5fb7f5d46ddd181db5fcd58c89fad6e501357a399e7",
+    "af9": "77f87c2c2e4e41ce5ae83ee0f0f68fb98006a7d0388d74e7024751e1bc5f07ee",
+    "af15": "bc8dc309abbe4a52629be5890391bc715a70c10587acd446893f1258db913f64",
+    "mf9": "03ca514134b72e476d6107e187e15f0a53987ca7818db5f9452d2bf9618f4b2d",
+    "mf15": "8b92d00b58172293b6437e1a4d9295093e6024578de5ab7b5564faf9ca731303",
+    "ccm30": "d30ec045f8433d0d823c3c0d453d1d195977b08ab75bc5166a1bb746f719d1f7",
+    "ccp30": "e1e2583d26d18404330d4cf0e29d7352356a822693f2fd790277dfd2b2ddd148",
+    "cbm30": "e42a1077f0538a2fdbb80b98d82dff78496ccd839b68b55a523fdf10942e2de3",
+    "cbp30": "22d6c16dca5fefcf6e83e004c80c1763d0d01d5ff2672296763341710d0b37f4",
+    "gt06": "72eb843ca23144d765bba1489d61ca593523bbfea3c5d810e876f745e117aa2c",
+    "gt14": "2caf3c57331595eba8947ae694789b547b0641dfd42df1019cbc3c3a441eb23f",
+    "gn005": "8f86b890719345256067fe4fc5b8e997533b47040368d258ff07fb96c92c1caa",
+    "gn01": "5aada027fa2c11061014f10079fc4eccb2cbf00847e94f40180448a966c06dbe",
+    "li32": "55f010d1f4cb672b7af761aa07d39e98201ab3c314475fa061866c883600b328",
+    "li64": "236d0e959b13791a84b0cc7c0c79a308fbeb42f23c48e41fd173740e717a4421",
+    "rs2": "0898c973cc705d7b66f0e54a9b9171b1df7bfa2ac65988bd4075083329b4dd3c",
+    "rs5": "307ba0d781c6c4fadf4c61edd36bb24fe5ae0f9feda2be9715121025b1c3dbdf",
+    "cr5": "25516bb6a2bc1e76969a2da8f02423db0d322c1163dde22669187f4835066a70",
+    "cr10": "72fdc49d8a0ed05771e048d367ca23115438e904f3f7aeeed9973a7aa0b8fbfd",
+    "rt45": "c88c25ca0516ffecae8d080f713171ff820667e4d35eaf6b03700ffde0492355",
+    "rt90": "dc49c210528e3ac21f15832a42b767e1be0deecacf5aa25b6241efe6e62b263f",
+    "flv": "aff7849a6147ec49bc609a4b65340adcc14049fde91ff77df1f10a18a39ec4c4",
+    "flh": "5c2b4892eb8d80310f9b86482ad28ead7c535e7b36cbb2a37e3798d8b479f69d",
+    "fr5": "a1f32fff1d1662a018faf91aeaed53b65360ae7f6b2a6b63534b74fae46c177c",
+    "fd5": "2fe96f2b1366a98276b72ed5fd05666f7a343e3f439da479df9e21a31978b3c7",
+}
+
+
+def golden_clips():
+    """Gray 31x45 (odd, non-square: rt 90 goes bilinear, rs rounds both ways),
+    depth 40x40, colour 36x36 and colour 27x41, 20 random frames each."""
+    rng = np.random.default_rng(2024)
+    shapes = (("2d", (31, 45)), ("depth", (40, 40)), ("2d", (36, 36, 3)), ("2d", (27, 41, 3)))
+    return [FrameSequence([rng.integers(0, 256, size=s, dtype=np.uint8) for _ in range(20)], role)
+            for role, s in shapes]
+
+
+def test_catalog_output_golden_hash():
+    clips = golden_clips()
+    got = {}
+    for spec in attack_catalog(seed=11):
+        h = hashlib.sha256()
+        for clip in clips:
+            for f in apply_attack(clip, spec).frames:
+                h.update(repr(f.shape).encode())
+                h.update(f.tobytes())
+        got[spec.name] = h.hexdigest()
+    assert got == GOLDEN

@@ -221,6 +221,95 @@ def test_query_missing_thresholds_exit_4(corpus, registered):
     assert "thresholds" in err
 
 
+def test_query_thresholds_csv_without_column_exit_4(corpus, registered, tmp_path):
+    clip = corpus / "clip000"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("name,value\nt_2d,0.5\n")
+    code, _, err = run_cli("query", "--db", registered, "--clip-2d", clip / "2d",
+                           "--clip-depth", clip / "depth", "--thresholds", bad)
+    assert code == 4
+    assert "'threshold' column" in err
+
+
+@pytest.mark.parametrize("flag", ["--t-2d", "--t-depth", "--t-fusion", "--gamma"])
+def test_query_nan_threshold_or_gamma_exit_4(corpus, registered, flag):
+    clip = corpus / "clip000"
+    values = {"--t-2d": "0.5", "--t-depth": "0.5", "--t-fusion": "0.5", "--gamma": "0.1", flag: "nan"}
+    code, _, err = run_cli("query", "--db", registered, "--clip-2d", clip / "2d",
+                           "--clip-depth", clip / "depth", *(x for kv in values.items() for x in kv))
+    assert code == 4
+    assert "NaN" in err
+
+
+def test_eval_det_nan_score_exit_4(tmp_path):
+    (tmp_path / "gen.txt").write_text("0.1\nnan\n0.2\n")
+    (tmp_path / "imp.txt").write_text("0.8\n")
+    code, _, err = run_cli("eval-det", "--genuine", tmp_path / "gen.txt",
+                           "--impostor", tmp_path / "imp.txt", "--out", tmp_path / "det.csv")
+    assert code == 4
+    assert "NaN" in err
+
+
+@pytest.mark.parametrize("which", ["config", "scores", "thresholds"])
+def test_non_utf8_text_input_exit_3(corpus, registered, tmp_path, which):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("t_2d = 0.5 # \u00e9t\u00e9\n".encode("latin-1"))
+    clip = corpus / "clip000"
+    argv = {
+        "config": ["--config", bad, "gen-corpus", "--out", tmp_path / "c"],
+        "scores": ["eval-det", "--genuine", bad, "--impostor", bad, "--out", tmp_path / "d.csv"],
+        "thresholds": ["query", "--db", registered, "--clip-2d", clip / "2d",
+                       "--clip-depth", clip / "depth", "--thresholds", bad],
+    }[which]
+    code, _, err = run_cli(*argv)
+    assert code == 3
+    assert "utf-8" in err
+
+
+def test_query_and_identify_share_retrieval_flags(capsys):
+    from zw3d.fusion import MODES
+
+    texts = {}
+    for command in ("query", "identify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        texts[command] = capsys.readouterr().out
+    for text in texts.values():
+        for flag in ("--db", "--clip-2d", "--clip-depth", "--thresholds", "--t-2d",
+                     "--t-depth", "--t-fusion", "--gamma"):
+            assert flag in text
+        assert "{" + ",".join(MODES) + "}" in text
+    assert texts["identify"].count("CSV written by calibrate") == 1
+
+
+def test_attack_flags_come_from_family_table(capsys):
+    from zw3d.attacks import FAMILY_PARAMS
+
+    with pytest.raises(SystemExit):
+        main(["attack", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for family, spec in FAMILY_PARAMS.items():
+        assert f"--{spec.param}" in text
+        assert family in text
+    assert "gb/af/mf window side in pixels: 9, 15" in text
+    assert "gn variance on the [0,1] scale: 0.005, 0.01" in text
+    assert "rs downscale denominator: 2, 5" in text
+    assert "cc/cb signed fraction: -0.3, 0.3" in text
+    assert "seed for gn/fr/fd" in text
+
+
+@pytest.mark.parametrize("change", [{"values": {9: "9", 13: "13"}}, {"doc": "radius"}],
+                         ids=["values", "doc"])
+def test_attack_flag_stated_twice_differently_is_refused(monkeypatch, change):
+    import zw3d.cli
+    from zw3d.attacks import FAMILY_PARAMS
+
+    table = dict(FAMILY_PARAMS, mf=FAMILY_PARAMS["mf"]._replace(**change))
+    monkeypatch.setattr(zw3d.cli, "FAMILY_PARAMS", table)
+    with pytest.raises(ValueError, match="--window differs between gb and mf"):
+        zw3d.cli.build_parser()
+
+
 def test_identify_round_trip(corpus, registered, tmp_path):
     clip = corpus / "clip000"
     code, out, err = run_cli(

@@ -71,6 +71,26 @@ def test_rates_empty_rejected():
         compute_rates([], [0.5], 0.1)
 
 
+def test_nan_scores_and_threshold_rejected():
+    for genuine, impostor, t in (([0.1, np.nan], [0.9], 0.5), ([0.1], [np.nan], 0.5),
+                                 ([0.1], [0.9], np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            compute_rates(genuine, impostor, t)
+    with pytest.raises(ValueError, match="NaN"):
+        det_curve([0.1, np.nan, 0.3], [0.9])
+
+
+def test_infinite_scores_keep_their_order():
+    genuine, impostor = [0.1, np.inf], [-np.inf, 0.9]
+    assert compute_rates(genuine, impostor, 0.5) == (0.5, 0.5)
+    assert compute_rates(genuine, impostor, np.inf) == (1.0, 0.5)
+    points = det_curve(genuine, impostor)
+    assert (points[-1].pfp, points[-1].pfn) == (1.0, 0.5)  # +inf never matches
+    for a, b in zip(points, points[1:]):
+        assert a.threshold < b.threshold
+        assert a.pfp <= b.pfp and a.pfn >= b.pfn
+
+
 # -- DET curves -----------------------------------------------------------------
 
 def test_det_endpoints_and_monotonicity():

@@ -256,6 +256,22 @@ def test_thresholds_validation():
         Thresholds(0.1, 0.2, 0.3, gamma=-2.0)
 
 
+@pytest.mark.parametrize("field", ["t_2d", "t_depth", "t_fusion", "gamma"])
+def test_thresholds_reject_nan(field):
+    values = {"t_2d": 0.1, "t_depth": 0.2, "t_fusion": 0.3, "gamma": 0.1, field: float("nan")}
+    with pytest.raises(ValueError, match="NaN"):
+        Thresholds(**values)
+
+
+def test_infinite_threshold_matches_every_record():
+    th = Thresholds(np.inf, np.inf, np.inf)
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal(16)
+    fn = rng.standard_normal(16)
+    assert score_record(q, q, fn, fn, th, "independent")[3] != "no-match"
+    assert score_record(q, q, fn, fn, th, "fused")[3] == "match-fused"
+
+
 # -- Gram/matvec paths against the brute-force loops ------------------------------
 
 def mixed_rows(rng, n):
