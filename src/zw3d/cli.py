@@ -4,11 +4,11 @@ Subcommands cover the three protection phases (register, query, identify)
 plus the tooling around them (attack, dibr, calibrate, eval-det, eval-ber,
 gen-corpus). Exit codes: 0 success / match found, 1 query finished without a
 match, 2 duplicate id, 3 I/O or file-format failure, 4 invalid parameter or
-shape, 5 unknown record id.
+shape (a usage error included), 5 unknown record id.
 
 Defaults can come from a flat ``key=value`` config file (via --config);
-explicit flags win. Recognized keys: db_path, gamma, target_pfp, t_2d,
-t_depth, t_fusion, seed.
+explicit flags win. Recognized keys: gamma, target_pfp, t_2d, t_depth,
+t_fusion, seed; any other key is refused.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from .evaluation import ber_table, det_curve, write_ber_csv, write_det_csv
 from .features import extract_feature
 from .frameio import FrameFormatError, load_clip, normalize_clip, save_clip
 from .fusion import (
+    GAMMA,
     MODES,
+    TARGET_PFP,
     Thresholds,
     calibration_report,
     fused_ber,
@@ -56,6 +58,17 @@ EXIT_DUPLICATE = 2
 EXIT_IO = 3
 EXIT_SHAPE = 4
 EXIT_UNKNOWN_ID = 5
+CONFIG_KEYS = ("gamma", "target_pfp", "t_2d", "t_depth", "t_fusion", "seed")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValueError`` (exit 4),
+    not exit with argparse's status 2, which here means a duplicate id."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
 
 def _read_config(path: str | None) -> dict:
     if not path:
@@ -67,8 +80,10 @@ def _read_config(path: str | None) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"config line without '=': {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r} (known: {', '.join(CONFIG_KEYS)})")
+        out[key] = value
     return out
 
 
@@ -90,7 +105,7 @@ def _clip_features(clip_2d, clip_depth):
 
 
 def _thresholds(args, config: dict) -> Thresholds:
-    gamma = _setting(args, config, "gamma", float, 0.1)
+    gamma = _setting(args, config, "gamma", float, GAMMA)
     values = {}
     if getattr(args, "thresholds", None):
         with open(args.thresholds, newline="", encoding="utf-8") as fh:
@@ -162,7 +177,7 @@ def cmd_identify(args, config) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_watermark(out_dir / "recovered_2d.pbm", rec2d)
     save_watermark(out_dir / "recovered_depth.pbm", recdep)
-    gamma = _setting(args, config, "gamma", float, 0.1)
+    gamma = _setting(args, config, "gamma", float, GAMMA)
     b2d, bdep = ber(w2d, rec2d), ber(wdep, recdep)
     writer = csv.writer(sys.stdout)
     writer.writerow(["record_id", "ber_2d", "ber_depth", "ber_fused"])
@@ -203,8 +218,8 @@ def cmd_dibr(args, config) -> int:
 
 
 def cmd_calibrate(args, config) -> int:
-    target = _setting(args, config, "target_pfp", float, 0.01)
-    gamma = _setting(args, config, "gamma", float, 0.1)
+    target = _setting(args, config, "target_pfp", float, TARGET_PFP)
+    gamma = _setting(args, config, "gamma", float, GAMMA)
     with Registry(args.db, "r") as db:
         th, rows = calibration_report(db, target_pfp=target, gamma=gamma)
     write_calibration_csv(args.output, rows)
@@ -244,7 +259,7 @@ def _scan_attacked_corpus(corpus_dir: Path):
 
 
 def cmd_eval_ber(args, config) -> int:
-    gamma = _setting(args, config, "gamma", float, 0.1)
+    gamma = _setting(args, config, "gamma", float, GAMMA)
     order = [spec.name for spec in attack_catalog()]
     with Registry(args.db, "r") as db:
         rows = ber_table(db, _scan_attacked_corpus(Path(args.corpus_dir)),
@@ -269,7 +284,7 @@ def cmd_gen_corpus(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zw3d", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="zw3d", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -365,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)
         config = _read_config(args.config)
         return args.fn(args, config)
     except DuplicateIdError as e:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import feature_distance, fuse_scores, fused_ber, pairwise_distances
+from .fusion import GAMMA, feature_distance, fuse_scores, fused_ber, pairwise_distances
+from .registry import UnknownIdError
 from .shares import ber, recover_from_feature
 
 CHANNELS = ("2d", "depth", "fused")
@@ -36,6 +37,14 @@ def _scores(genuine_scores, impostor_scores) -> tuple[np.ndarray, np.ndarray]:
     return genuine, impostor
 
 
+def _rates(genuine: np.ndarray, impostor: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """(false-positive, false-negative) fractions at each threshold, counted
+    on the sorted scores: impostors < t and genuines >= t."""
+    false_pos = np.searchsorted(np.sort(impostor), thresholds, side="left")
+    false_neg = genuine.size - np.searchsorted(np.sort(genuine), thresholds, side="left")
+    return false_pos / impostor.size, false_neg / genuine.size
+
+
 def compute_rates(genuine_scores, impostor_scores, threshold: float) -> tuple[float, float]:
     """(false-positive, false-negative) fractions at one threshold.
 
@@ -48,9 +57,8 @@ def compute_rates(genuine_scores, impostor_scores, threshold: float) -> tuple[fl
     genuine, impostor = _scores(genuine_scores, impostor_scores)
     if np.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    pfp = float((impostor < threshold).sum()) / impostor.size
-    pfn = float((genuine >= threshold).sum()) / genuine.size
-    return pfp, pfn
+    pfp, pfn = _rates(genuine, impostor, threshold)
+    return float(pfp), float(pfn)
 
 
 def det_curve(genuine_scores, impostor_scores) -> list[DetPoint]:
@@ -60,13 +68,14 @@ def det_curve(genuine_scores, impostor_scores) -> list[DetPoint]:
     pfn=1) and the last (pfp=1, pfn=0); pfp is nondecreasing and pfn
     nonincreasing along the curve. Infinite scores keep their order as in
     ``compute_rates``, so a +inf genuine score stays a false negative at the
-    last point; NaN raises ``ValueError``.
+    last point; NaN raises ``ValueError``. Both score lists are sorted once,
+    so the sweep costs O(N log N).
     """
     genuine, impostor = _scores(genuine_scores, impostor_scores)
     merged = np.unique(np.concatenate([genuine, impostor]))
-    thresholds = np.concatenate([[0.0], merged, [np.nextafter(merged[-1], np.inf)]])
-    return [DetPoint(float(t), *compute_rates(genuine, impostor, float(t)))
-            for t in np.unique(thresholds)]
+    thresholds = np.unique(np.concatenate([[0.0], merged, [np.nextafter(merged[-1], np.inf)]]))
+    pfp, pfn = _rates(genuine, impostor, thresholds)
+    return [DetPoint(*point) for point in zip(thresholds.tolist(), pfp.tolist(), pfn.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +86,7 @@ def det_curve(genuine_scores, impostor_scores) -> list[DetPoint]:
 # the features extracted from the attacked 2D and depth channels of a
 # registered clip.
 
-def impostor_scores(db, channel: str = "fused", gamma: float = 0.1) -> np.ndarray:
+def impostor_scores(db, channel: str = "fused", gamma: float = GAMMA) -> np.ndarray:
     """All distinct-registered-pair distances for one channel, from the Gram
     path of ``pairwise_distances`` (within ~1e-12 of the exact distances)."""
     features = [(fn2d, fndep) for _, fn2d, fndep in db.iterate_features()]
@@ -85,11 +94,14 @@ def impostor_scores(db, channel: str = "fused", gamma: float = 0.1) -> np.ndarra
     return {"2d": d2d, "depth": ddep, "fused": dfus}[channel]
 
 
-def genuine_scores(db, corpus, channel: str = "fused", gamma: float = 0.1) -> list[float]:
-    """Original-vs-attacked same-clip distances for one channel."""
+def genuine_scores(db, corpus, channel: str = "fused", gamma: float = GAMMA) -> list[float]:
+    """Original-vs-attacked same-clip distances for one channel. A clip id
+    that is not registered raises ``UnknownIdError``."""
     stored = {rid: (fn2d, fndep) for rid, fn2d, fndep in db.iterate_features()}
     out = []
     for clip_id, _attack, fn2d, fndep in corpus:
+        if clip_id not in stored:
+            raise UnknownIdError(f"unknown id: {clip_id!r}")
         ref2d, refdep = stored[clip_id]
         a = feature_distance(fn2d, ref2d)
         b = feature_distance(fndep, refdep)
@@ -97,7 +109,7 @@ def genuine_scores(db, corpus, channel: str = "fused", gamma: float = 0.1) -> li
     return out
 
 
-def ber_table(db, corpus, gamma: float = 0.1, attack_order=None) -> list[dict]:
+def ber_table(db, corpus, gamma: float = GAMMA, attack_order=None) -> list[dict]:
     """Mean watermark-recovery BER per (attack, channel) over a corpus.
 
     For each corpus entry the watermark is recovered from the attacked

@@ -25,6 +25,7 @@ record and every pair with ``score_record`` and ``feature_distance`` returns.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ import numpy as np
 from .features import FeatureVector
 
 MODES = ("independent", "fused")
+DECISIONS = ("no-match", "match-2d", "match-depth", "match-fused")  # a match's index - 1 picks its distance
+GAMMA = 0.1  # default fusion gamma
+TARGET_PFP = 0.01  # default calibration target for the false-positive fraction
 BLOCK_ROWS = 256  # records per matrix-vector product in match_query
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 
@@ -45,7 +49,7 @@ class Thresholds:
     t_2d: float
     t_depth: float
     t_fusion: float
-    gamma: float = 0.1
+    gamma: float = GAMMA
 
     def __post_init__(self):
         if np.isnan([self.t_2d, self.t_depth, self.t_fusion, self.gamma]).any():
@@ -127,7 +131,7 @@ def _fused_bound(a, b, gamma: float, side: int):
     return _fuse(a, b, gamma) * (1.0 + side * 16.0 * _U * (1.0 + 1.0 / (1.0 + gamma)))
 
 
-def fuse_scores(s1: float, s2: float, gamma: float = 0.1) -> float:
+def fuse_scores(s1: float, s2: float, gamma: float = GAMMA) -> float:
     """Attention-based fusion of two nonnegative scores.
 
     With x1 the sum and x2 the absolute difference of the reciprocal scores,
@@ -142,46 +146,33 @@ def fuse_scores(s1: float, s2: float, gamma: float = 0.1) -> float:
     return float(_fuse(s1, s2, gamma))
 
 
-def fused_ber(b_2d: float, b_depth: float, gamma: float = 0.1) -> float:
+def fused_ber(b_2d: float, b_depth: float, gamma: float = GAMMA) -> float:
     """Attention-based fusion applied to a pair of bit error rates."""
-    if b_2d < 0 or b_depth < 0:
-        raise ValueError("BER values must be nonnegative")
     return fuse_scores(b_2d, b_depth, gamma)
+
+
+def _decide(d2d, ddep, dfused, thresholds: Thresholds, mode: str) -> np.ndarray:
+    """The match decision for each record's distances, as an index into
+    ``DECISIONS``. Matching is strict (< threshold). In fused mode the fused
+    distance decides; otherwise either channel may match, and when both do
+    the smaller distance decides, 2D on a tie."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "fused":
+        return np.where(np.less(dfused, thresholds.t_fusion), 3, 0)
+    # np.less, not <, so that Python floats give numpy booleans for ~
+    hit_2d, hit_depth = np.less(d2d, thresholds.t_2d), np.less(ddep, thresholds.t_depth)
+    return np.where(hit_2d & (~hit_depth | np.less_equal(d2d, ddep)), 1, np.where(hit_depth, 2, 0))
 
 
 def score_record(
     q2d, qdepth, fn_2d, fn_depth, thresholds: Thresholds, mode: str
 ) -> tuple[float, float, float, str]:
     """Distances of a query against one record plus the match decision."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     d2d = feature_distance(q2d, fn_2d)
     ddep = feature_distance(qdepth, fn_depth)
     dfused = fuse_scores(d2d, ddep, thresholds.gamma)
-    if mode == "fused":
-        decision = "match-fused" if dfused < thresholds.t_fusion else "no-match"
-    else:
-        hit_2d = d2d < thresholds.t_2d
-        hit_depth = ddep < thresholds.t_depth
-        if hit_2d and hit_depth:
-            decision = "match-2d" if d2d <= ddep else "match-depth"
-        elif hit_2d:
-            decision = "match-2d"
-        elif hit_depth:
-            decision = "match-depth"
-        else:
-            decision = "no-match"
-    return d2d, ddep, dfused, decision
-
-
-def _deciding_distance(r: MatchResult) -> float:
-    if r.mode == "fused":
-        return r.d_fused
-    if r.decision == "match-2d":
-        return r.d_2d
-    if r.decision == "match-depth":
-        return r.d_depth
-    return min(r.d_2d, r.d_depth)
+    return d2d, ddep, dfused, DECISIONS[_decide(d2d, ddep, dfused, thresholds, mode)]
 
 
 def match_query(q2d, qdepth, db, thresholds: Thresholds, mode: str = "independent") -> list[MatchResult]:
@@ -214,7 +205,8 @@ def match_query(q2d, qdepth, db, thresholds: Thresholds, mode: str = "independen
             ids = []
     if ids:
         results += _match_block(q2d, qdepth, blocks, ids, thresholds, mode)
-    results.sort(key=lambda r: (_deciding_distance(r), r.record_id))
+    results.sort(key=lambda r: ((r.d_2d, r.d_depth, r.d_fused)[DECISIONS.index(r.decision) - 1],
+                                r.record_id))
     return results
 
 
@@ -227,12 +219,8 @@ def _match_block(q2d, qdepth, blocks, ids, thresholds: Thresholds, mode: str) ->
         rows = block[: len(ids)]
         sq_q, sq = q.dot(q), np.einsum("ij,ij->i", rows, rows)
         lows.append(_gram_distances(sq_q, sq, rows @ q, q.size) - _gram_eps(q.size, np.maximum(sq_q, sq)))
-    if mode == "fused":
-        maybe = _fused_bound(lows[0], lows[1], thresholds.gamma, -1) < thresholds.t_fusion
-    else:
-        maybe = (lows[0] < thresholds.t_2d) | (lows[1] < thresholds.t_depth)
     out = []
-    for k in np.flatnonzero(maybe):
+    for k in np.flatnonzero(_decide(*lows, _fused_bound(*lows, thresholds.gamma, -1), thresholds, mode)):
         d2d, ddep, dfused, decision = score_record(q2d, qdepth, blocks[0][k], blocks[1][k], thresholds, mode)
         if decision != "no-match":
             out.append(MatchResult(ids[k], d2d, ddep, dfused, decision, mode))
@@ -248,23 +236,6 @@ def _check_quantile(q: float) -> None:
         raise ValueError("quantile must be in [0, 1]")
 
 
-def _quantile(q: float, n: int, order_statistic) -> float:
-    """Zero-anchored quantile of n scores whose k-th smallest (k >= 1) is
-    ``order_statistic(k)``; reads order statistics k1..k2 of ``_node_range``."""
-    p = q * n
-    if p >= n:
-        return float(np.nextafter(order_statistic(n), np.inf))
-    i = int(p)
-    lower = order_statistic(i) if i else 0.0
-    return float(lower + (p - i) * (order_statistic(i + 1) - lower))
-
-
-def _node_range(q: float, n: int) -> tuple[int, int]:
-    """First and last order statistic that ``_quantile(q, n, ...)`` reads."""
-    i = int(q * n)
-    return min(max(i, 1), n), min(i + 1, n)
-
-
 def zero_anchored_quantile(values, q: float) -> float:
     """Empirical quantile interpolated over nodes 0 <= x(1) <= ... <= x(n).
 
@@ -273,10 +244,10 @@ def zero_anchored_quantile(values, q: float) -> float:
     that every observed score counts as strictly below the threshold.
     """
     _check_quantile(q)
-    xs = np.sort(np.asarray(values, dtype=np.float64))
-    if len(xs) == 0:
+    x = np.asarray(values, dtype=np.float64)
+    if x.size == 0:
         raise ValueError("no samples to calibrate on")
-    return _quantile(q, len(xs), lambda k: xs[k - 1])
+    return _exact_quantile(x, x, x.__getitem__, q)[0]
 
 
 def _channel_pair_distances(features, channel: int) -> tuple[np.ndarray, float]:
@@ -294,7 +265,7 @@ def _channel_pair_distances(features, channel: int) -> tuple[np.ndarray, float]:
     return out, _gram_eps(n, sq.max())
 
 
-def pairwise_distances(features: list[tuple[np.ndarray, np.ndarray]], gamma: float = 0.1):
+def pairwise_distances(features: list[tuple[np.ndarray, np.ndarray]], gamma: float = GAMMA):
     """Distances of all distinct record pairs (i < j, row-major), per channel
     and fused, from one Gram matrix per channel.
 
@@ -307,28 +278,42 @@ def pairwise_distances(features: list[tuple[np.ndarray, np.ndarray]], gamma: flo
 
 
 def _exact_quantile(lo: np.ndarray, hi: np.ndarray, exact, q: float) -> tuple[float, float]:
-    """Zero-anchored quantile t of scores x known as lo <= x <= hi, and the
-    fraction of x strictly below t.
+    """Zero-anchored quantile t of n scores x known as lo <= x <= hi, and the
+    fraction of x strictly below t. This is the only code that reads order
+    statistics: t interpolates x(i) and x(i + 1), i = int(q n), with x(0) = 0,
+    or is the next float above x(n) when q n >= n.
 
     ``exact(idx)`` returns the exact scores of the entries ``idx``. The k-th
     smallest x lies between the k-th smallest lo and the k-th smallest hi, so
-    an entry with hi below the first bound sits below it and one with lo
-    above the second sits above it. Only the entries in between, and those
-    whose interval holds t, are rescored.
+    an entry with hi below the first node's lower bound sits below it and one
+    with lo above the last node's upper bound sits above it. Only the entries
+    in between, and those whose interval holds t, are rescored. NaN bounds
+    raise ``ValueError``.
     """
-    n = lo.size
-    k1, k2 = _node_range(q, n)
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError("scores must not be NaN")
+    n, p = lo.size, q * lo.size
+    i = int(p)
+    k1, k2 = min(max(i, 1), n), min(i + 1, n)  # the first and last node read
     floor = np.partition(lo, k1 - 1)[k1 - 1]
     ceiling = np.partition(hi, k2 - 1)[k2 - 1]
     below = np.count_nonzero(hi < floor)
     nodes = np.sort(exact(np.flatnonzero((hi >= floor) & (lo <= ceiling))))
-    t = _quantile(q, n, lambda k: nodes[k - 1 - below])
+
+    def x(k):  # the k-th smallest score, k1 <= k <= k2
+        return nodes[k - 1 - below]
+
+    if p >= n:
+        t = float(np.nextafter(x(n), np.inf))
+    else:
+        lower = x(i) if i else 0.0
+        t = float(lower + (p - i) * (x(i + 1) - lower))
     undecided = np.flatnonzero((lo < t) & (hi >= t))
     count = int(np.count_nonzero(hi < t)) + int(np.count_nonzero(exact(undecided) < t))
     return t, count / n
 
 
-def calibrate_thresholds(db, target_pfp: float = 0.01, gamma: float = 0.1) -> Thresholds:
+def calibrate_thresholds(db, target_pfp: float = TARGET_PFP, gamma: float = GAMMA) -> Thresholds:
     """Set each threshold so the distinct-pair false-positive fraction hits the target.
 
     Uses all pairwise distances between features of distinct registered clips
@@ -337,14 +322,14 @@ def calibrate_thresholds(db, target_pfp: float = 0.01, gamma: float = 0.1) -> Th
     return calibration_report(db, target_pfp, gamma)[0]
 
 
-def calibration_report(db, target_pfp: float = 0.01, gamma: float = 0.1):
+def calibration_report(db, target_pfp: float = TARGET_PFP, gamma: float = GAMMA):
     """Calibrate and report realized false-positive fractions per threshold.
 
     Pair distances come from one Gram matrix per channel. The pairs whose
     distance could, within the Gram error bound, be a quantile node or fall
     on the other side of a threshold are rescored with ``feature_distance``
-    (and ``fuse_scores``), so thresholds and rates are those of the exact
-    distances of every pair.
+    (and ``_fuse``, the array form of ``fuse_scores``), so thresholds and
+    rates are those of the exact distances of every pair.
     """
     _check_quantile(target_pfp)
     features = [(fn2d, fndep) for _, fn2d, fndep in db.iterate_features()]
@@ -353,26 +338,26 @@ def calibration_report(db, target_pfp: float = 0.01, gamma: float = 0.1):
     d2d, eps_2d = _channel_pair_distances(features, 0)
     ddep, eps_dep = _channel_pair_distances(features, 1)
     starts = np.concatenate([[0], np.cumsum(np.arange(len(features) - 1, 0, -1))])  # row i's first pair
+    dists, eps = (d2d, ddep), (eps_2d, eps_dep)
 
-    def rescorer(score):
-        def rescore(idx):
-            rows = np.searchsorted(starts, idx, side="right") - 1
-            pairs = zip(rows, idx - starts[rows] + rows + 1)
-            return np.array([score(features[i], features[j]) for i, j in pairs], dtype=np.float64)
-        return rescore
+    def exact(channel, idx):
+        """Exact scores of the pairs ``idx`` on channel 0 (2D), 1 (depth) or 2 (fused)."""
+        if channel == 2:
+            return _fuse(exact(0, idx), exact(1, idx), gamma)
+        rows = np.searchsorted(starts, idx, side="right") - 1
+        pairs = zip(rows, idx - starts[rows] + rows + 1)
+        return np.array([feature_distance(features[i][channel], features[j][channel]) for i, j in pairs],
+                        dtype=np.float64)
 
-    def fused(a, b):
-        return fuse_scores(feature_distance(a[0], b[0]), feature_distance(a[1], b[1]), gamma)
+    def bound(channel, side):
+        """Lower (side -1) or upper (side +1) bounds on the scores of every pair."""
+        if channel == 2:
+            return _fused_bound(bound(0, side), bound(1, side), gamma, side)
+        return dists[channel] + side * eps[channel]
 
     # one threshold's bounds at a time: each call's arrays are freed on return
-    results = (
-        _exact_quantile(d2d - eps_2d, d2d + eps_2d,
-                        rescorer(lambda a, b: feature_distance(a[0], b[0])), target_pfp),
-        _exact_quantile(ddep - eps_dep, ddep + eps_dep,
-                        rescorer(lambda a, b: feature_distance(a[1], b[1])), target_pfp),
-        _exact_quantile(_fused_bound(d2d - eps_2d, ddep - eps_dep, gamma, -1),
-                        _fused_bound(d2d + eps_2d, ddep + eps_dep, gamma, +1), rescorer(fused), target_pfp),
-    )
+    results = [_exact_quantile(bound(c, -1), bound(c, +1), functools.partial(exact, c), target_pfp)
+               for c in range(3)]
     rows = [
         {"threshold": name, "value": value, "target_pfp": target_pfp, "realized_pfp": realized}
         for name, (value, realized) in zip(("t_2d", "t_depth", "t_fusion"), results)

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from zw3d.cli import main
+from zw3d.cli import CONFIG_KEYS, main
 from zw3d.frameio import load_clip, write_pbm
+from zw3d.fusion import MODES
 
 
 def run_cli(*argv):
@@ -264,6 +267,77 @@ def test_non_utf8_text_input_exit_3(corpus, registered, tmp_path, which):
     code, _, err = run_cli(*argv)
     assert code == 3
     assert "utf-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "--db", "r.zw3d", "--clip-2d", "a", "--clip-depth", "b", "--mode", "bogus"],
+    ["calibrate", "--out", "t.csv"],
+], ids=["bad-mode", "missing-db"])
+def test_usage_error_exit_4(argv, capsys):
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("usage: zw3d ") and f"error: zw3d {argv[0]}: " in err
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+
+
+def test_unknown_config_key_exit_4(tmp_path):
+    cfg = tmp_path / "zw3d.conf"
+    cfg.write_text("gama = 0.5\n")
+    code, _, err = run_cli("--config", cfg, "gen-corpus", "--out", tmp_path / "c")
+    assert code == 4
+    assert "'gama'" in err
+    assert not (tmp_path / "c").exists()
+
+
+# -- random text inputs: documented exit codes only, never a traceback ------------
+
+_NUMBER = st.floats(0, 1) | st.floats(min_value=0) | st.floats()
+_CONFIG = st.dictionaries(st.sampled_from(CONFIG_KEYS), _NUMBER).map(
+    lambda kv: "".join(f"{k} = {v!r}\n" for k, v in kv.items()))
+_TABLE = st.fixed_dictionaries({k: _NUMBER for k in ("t_2d", "t_depth", "t_fusion")}).map(
+    lambda kv: "threshold,value\n" + "".join(f"{k},{v!r}\n" for k, v in kv.items()))
+_SCORES = st.lists(_NUMBER, max_size=5).map(lambda xs: "".join(f"{x!r}\n" for x in xs))
+_FLAGS = {"calibrate": ["--gamma", "--target-pfp"],
+          "query": ["--gamma", "--t-2d", "--t-depth", "--t-fusion", "--mode"],
+          "eval-det": []}
+
+
+def _damaged(data, text: str, label: str) -> bytes:
+    """``text`` as UTF-8 with up to two bytes overwritten and maybe cut short."""
+    raw = bytearray(text.encode())
+    edits = st.lists(st.tuples(st.integers(0, max(len(raw) - 1, 0)), st.integers(0, 255)),
+                     max_size=2 if raw else 0)
+    for pos, byte in data.draw(edits, label=f"{label} edits"):
+        raw[pos] = byte
+    return bytes(raw[: data.draw(st.none() | st.integers(0, len(raw)), label=f"{label} cut")])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(sorted(_FLAGS)), config=_CONFIG, table=_TABLE,
+       genuine=_SCORES, impostor=_SCORES)
+def test_random_text_inputs_exit_with_documented_codes(corpus, registered, tmp_path, data, command,
+                                                       config, table, genuine, impostor):
+    damaged = data.draw(st.sampled_from([None, "cfg", "table.csv", "gen", "imp"]), label="damaged")
+    for name, text in (("cfg", config), ("table.csv", table), ("gen", genuine), ("imp", impostor)):
+        (tmp_path / name).write_bytes(_damaged(data, text, name) if name == damaged else text.encode())
+    names = data.draw(st.permutations(_FLAGS[command]), label="flags")[: data.draw(st.integers(0, 2))]
+    flags = [x for name in names for x in (name, data.draw(st.sampled_from(MODES) if name == "--mode"
+                                                           else _NUMBER.map(repr), label=name))]
+    clip = corpus / "clip000"
+    argv = {
+        "calibrate": ["calibrate", "--db", registered, "--out", tmp_path / "out.csv"],
+        "query": ["query", "--db", registered, "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
+                  *data.draw(st.sampled_from([["--thresholds", tmp_path / "table.csv"], []]), label="table")],
+        "eval-det": ["eval-det", "--genuine", tmp_path / "gen", "--impostor", tmp_path / "imp",
+                     "--out", tmp_path / "out.csv"],
+    }[command]
+    code, _, err = run_cli("--config", tmp_path / "cfg", *argv, *flags)
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 3, 4), err
+    assert (code >= 3) == ("error: " in err)
 
 
 def test_query_and_identify_share_retrieval_flags(capsys):

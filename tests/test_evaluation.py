@@ -93,6 +93,23 @@ def test_infinite_scores_keep_their_order():
 
 # -- DET curves -----------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", ["random", "tied", "infinite"])
+def test_det_points_equal_rates_at_every_threshold(kind):
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        genuine, impostor = rng.random(int(rng.integers(1, 30))), rng.random(int(rng.integers(1, 30)))
+        if kind == "tied":
+            genuine, impostor = np.round(genuine * 4) / 4, np.round(impostor * 4) / 4
+        elif kind == "infinite":
+            genuine[::3], impostor[1::4] = np.inf, -np.inf
+        points = det_curve(genuine, impostor)
+        assert [p.threshold for p in points] == sorted({0.0, *genuine, *impostor,
+                                                       np.nextafter(max(*genuine, *impostor), np.inf)})
+        for p in points:
+            counted = (sum(s < p.threshold for s in impostor) / impostor.size,
+                       sum(s >= p.threshold for s in genuine) / genuine.size)
+            assert (p.pfp, p.pfn) == compute_rates(genuine, impostor, p.threshold) == counted
+
 def test_det_endpoints_and_monotonicity():
     rng = np.random.default_rng(1)
     genuine = rng.random(40) * 0.5
@@ -134,6 +151,14 @@ def test_impostor_and_genuine_scores(tmp_path):
         assert gen == [0.0] * 4
         gen_fused = genuine_scores(db, corpus, "fused")
         assert gen_fused == [0.0] * 4
+
+
+def test_genuine_scores_unknown_id(tmp_path):
+    rng = np.random.default_rng(10)
+    path, _, _ = registered_db(tmp_path, rng)
+    with Registry(path, "r") as db:
+        with pytest.raises(UnknownIdError, match="ghost"):
+            genuine_scores(db, [("ghost", "none", zvec(rng), zvec(rng))])
 
 
 # -- BER tables ----------------------------------------------------------------------

@@ -249,6 +249,16 @@ def test_calibration_rejects_bad_gamma_and_target():
             calibration_report(db, **bad)
 
 
+def test_nan_scores_rejected_by_quantile_and_calibration():
+    with pytest.raises(ValueError, match="NaN"):
+        zero_anchored_quantile([0.2, np.nan, 0.5], 0.5)
+    rng = np.random.default_rng(15)
+    db, rows = make_db(rng, n=4)
+    rows[2][1][3] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        calibration_report(db)
+
+
 def test_thresholds_validation():
     with pytest.raises(ValueError):
         Thresholds(-0.1, 0.2, 0.3)
