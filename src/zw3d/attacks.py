@@ -254,4 +254,4 @@ def attack_catalog(seed: int = 0) -> list[AttackSpec]:
 def apply_attack(seq: FrameSequence, spec: AttackSpec) -> FrameSequence:
     """Apply one attack instance to a clip; bit-reproducible under the seed."""
     out = FAMILY_PARAMS[spec.family].op(seq.frames, spec.value, spec.seed)
-    return FrameSequence(frames=out, role=seq.role, fps=seq.fps)
+    return FrameSequence(frames=out, role=seq.role)

@@ -32,6 +32,7 @@ from .fusion import (
     calibration_report,
     fused_ber,
     match_query,
+    read_calibration_csv,
     write_calibration_csv,
 )
 from .registry import (
@@ -106,15 +107,7 @@ def _clip_features(clip_2d, clip_depth):
 
 def _thresholds(args, config: dict) -> Thresholds:
     gamma = _setting(args, config, "gamma", float, GAMMA)
-    values = {}
-    if getattr(args, "thresholds", None):
-        with open(args.thresholds, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for column in ("threshold", "value"):
-                if column not in (reader.fieldnames or ()):
-                    raise ValueError(f"thresholds CSV {args.thresholds} has no {column!r} column")
-            for row in reader:
-                values[row["threshold"]] = float(row["value"] or "")
+    values = read_calibration_csv(args.thresholds) if getattr(args, "thresholds", None) else {}
     for name in ("t_2d", "t_depth", "t_fusion"):
         v = _setting(args, config, name, float)
         if v is not None:

@@ -119,6 +119,6 @@ def synthesize_clip(seq2d: FrameSequence, seqdepth: FrameSequence, cfg: Baseline
         lefts.append(left)
         rights.append(right)
     return (
-        FrameSequence(frames=lefts, role="synthesized", fps=seq2d.fps),
-        FrameSequence(frames=rights, role="synthesized", fps=seq2d.fps),
+        FrameSequence(frames=lefts, role="synthesized"),
+        FrameSequence(frames=rights, role="synthesized"),
     )

@@ -1,23 +1,26 @@
 """Attack-invariant clip features.
 
-A normalized clip is condensed into a single temporal reference image (a
-weighted mean of sampled frames), each frame is scored by how far its pixels
-deviate from the reference image's 8-neighborhoods, the deviations are
+A normalized clip is condensed into a single temporal reference image (the
+mean of sampled frames), each frame is scored by how far its pixels deviate
+from the reference image's 8-neighborhoods, the deviations are
 contrast-normalized with an arctan ratio, and ring-shaped partitions around
-the frame center are reduced to weighted centroids. Rings and 8-neighborhoods
-are preserved by flips and quarter-turn rotations about the frame center, so
-the resulting vector is exactly invariant under those maps; the temporal
-averaging and arctan normalization buy robustness against noise, filtering,
-and global intensity changes.
+the frame center are reduced to reference-weighted centroids. Rings and
+8-neighborhoods are preserved by flips and quarter-turn rotations about the
+frame center, so the resulting vector is exactly invariant under those maps;
+the temporal averaging and arctan normalization buy robustness against
+noise, filtering, and global intensity changes.
 
 The production geometry is a 320x320x100 volume, 16 rings of width 10, and a
 16x100 = 1600-dimensional feature. ``extract_feature`` is the one
 implementation of the pipeline; it also runs on reduced geometries, where the
 tests compare it against the plain-loop reference in ``tests/oracle.py``.
+The ring sums are one product with a cached 0/1 ring-indicator matrix, so a
+ring that holds no pixel sums to 0 with no special case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +41,12 @@ class FeatureParams:
     ring_width: float = 10.0 # radial width r
     tiri_stride: int = 5     # sample frames k = stride, 2*stride, ...
     tiri_samples: int = 20   # number of sampled frames M
-    decay: float = 1.0       # weight base a, w_k = a**k (1.0 = plain mean)
 
     def __post_init__(self):
         if self.tiri_stride * self.tiri_samples > self.frames:
             raise ValueError("TIRI sampling exceeds frame count")
         if self.ring_count * self.ring_width > self.size / 2 + 1e-9:
             raise ValueError("rings do not fit inside the frame")
-
-    @property
-    def dim(self) -> int:
-        return self.ring_count * self.frames
 
     @property
     def center(self) -> float:
@@ -69,7 +67,6 @@ class FeatureVector:
     """
 
     values: np.ndarray
-    role: str
     degenerate: bool = False
 
     def __post_init__(self):
@@ -78,16 +75,16 @@ class FeatureVector:
             raise ValueError("feature values must be a flat vector")
 
 
-def compute_tiri(volume: np.ndarray, params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Temporally informative representative image of a volume.
+def feature_values(fn: FeatureVector | np.ndarray) -> np.ndarray:
+    """The values of a ``FeatureVector``, or an array, as float64."""
+    return fn.values if isinstance(fn, FeatureVector) else np.asarray(fn, dtype=np.float64)
 
-    Weighted mean of frames k = stride*m for m = 1..M with weights a**k; the
-    default a = 1 makes it the plain average of the sampled frames.
-    """
-    ks = params.tiri_stride * np.arange(1, params.tiri_samples + 1)
-    w = params.decay ** ks.astype(np.float64)
-    acc = np.tensordot(volume[:, :, ks - 1], w, axes=([2], [0]))
-    return acc / w.sum()
+
+def compute_tiri(volume: np.ndarray, params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Temporally informative representative image of a volume: the mean of
+    frames k = stride*m (1-based) for m = 1..M."""
+    s = params.tiri_stride
+    return volume[:, :, s - 1 : s * params.tiri_samples : s].mean(axis=2)
 
 
 def ring_labels(params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
@@ -118,34 +115,24 @@ def zscore(f: np.ndarray) -> tuple[np.ndarray, bool]:
     return (f - mu) / sigma, False
 
 
-_PLAN_CACHE: dict[FeatureParams, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _ring_plan(params: FeatureParams):
-    """Flat indices of interior pixels inside the last ring, sorted by ring.
-
-    Returns (flat pixel indices, segment starts per ring, pixel count per
-    ring); cached per params since the geometry is fixed.
-    """
-    if params not in _PLAN_CACHE:
-        labels = ring_labels(params)
-        valid = labels >= 0
-        # border pixels lack a full 8-neighborhood in the reference image
-        valid[[0, -1], :] = valid[:, [0, -1]] = False
-        flat = np.flatnonzero(valid.ravel())
-        lab = labels.ravel()[flat]
-        order = np.argsort(lab, kind="stable")
-        flat, lab = flat[order], lab[order]
-        starts = np.searchsorted(lab, np.arange(params.ring_count))
-        counts = np.diff(np.append(starts, lab.size))
-        _PLAN_CACHE[params] = (flat, starts.astype(np.intp), counts)
-    return _PLAN_CACHE[params]
+@functools.cache
+def _ring_plan(params: FeatureParams) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the interior pixels inside the last ring, and their
+    (pixels, ring_count) 0/1 ring-indicator matrix; cached per geometry and
+    read-only, since every caller shares them."""
+    labels = ring_labels(params)
+    valid = labels >= 0
+    # border pixels lack a full 8-neighborhood in the reference image
+    valid[[0, -1], :] = valid[:, [0, -1]] = False
+    flat = np.flatnonzero(valid.ravel())
+    rings = (labels.ravel()[flat, None] == np.arange(params.ring_count)).astype(np.float64)
+    flat.flags.writeable = rings.flags.writeable = False
+    return flat, rings
 
 
 def extract_feature(
     clip: NormalizedClip | np.ndarray,
     params: FeatureParams = DEFAULT_PARAMS,
-    role: str | None = None,
 ) -> FeatureVector:
     """Full pipeline: reference image, deviations, arctan, centroids, z-score.
 
@@ -157,19 +144,16 @@ def extract_feature(
     weight). The frame-major centroids are z-scored. A pixel whose reference
     is 0 has weight 0, so its arctan value never counts.
 
-    Only the ring-valid interior pixels are gathered, once, and rings are
-    reduced with contiguous segment sums.
+    Only the ring-valid interior pixels are gathered, once, as a (pixels,
+    frames) matrix. Each ring's weighted sums and its weight are one product
+    with the 0/1 ring-indicator matrix of ``_ring_plan``.
     """
-    if isinstance(clip, NormalizedClip):
-        volume, role = clip.volume, clip.role
-    else:
-        volume = np.asarray(clip, dtype=np.float64)
-        role = role or "2d"
+    volume = clip.volume if isinstance(clip, NormalizedClip) else np.asarray(clip, dtype=np.float64)
     if volume.shape != (params.size, params.size, params.frames):
         raise ValueError(f"volume shape {volume.shape} does not match params")
 
     tiri = compute_tiri(volume, params)
-    flat, starts, counts = _ring_plan(params)
+    flat, rings = _ring_plan(params)
 
     shifts = (
         tiri[:-2, :-2], tiri[:-2, 1:-1], tiri[:-2, 2:],
@@ -191,13 +175,11 @@ def extract_feature(
     np.divide(dev, t[:, None], out=dev, where=(t != 0)[:, None])
     np.arctan(dev, out=dev)
     np.multiply(dev, t[:, None], out=dev)
-    reduce_at = np.minimum(starts, max(flat.size - 1, 0))
-    num = np.add.reduceat(dev, reduce_at, axis=0)
-    den = np.add.reduceat(t, reduce_at)
-    num[counts == 0] = 0.0
+    num = rings.T @ dev  # (ring_count, frames)
+    den = t @ rings
     v = np.zeros_like(num)
     np.divide(num, den[:, None], out=v, where=(den > 0)[:, None])
 
     fn, degenerate = zscore(v.T.ravel())
-    return FeatureVector(values=fn, role=role, degenerate=degenerate)
+    return FeatureVector(values=fn, degenerate=degenerate)
 

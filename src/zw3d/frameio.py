@@ -43,7 +43,6 @@ class FrameSequence:
 
     frames: list[np.ndarray]
     role: str
-    fps: float = 25.0
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -60,8 +59,6 @@ class FrameSequence:
                 raise FrameFormatError(f"frame {k} is not 8-bit")
         if self.role == "depth" and self.frames[0].ndim != 2:
             raise FrameFormatError("depth frames must be single-channel")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
 
     @property
     def width(self) -> int:
@@ -80,11 +77,8 @@ class NormalizedClip:
     """Luminance volume of exact shape (320, 320, 100), values in [0, 1]."""
 
     volume: np.ndarray
-    role: str
 
     def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
         expected = (VOLUME_SIZE, VOLUME_SIZE, VOLUME_FRAMES)
         if self.volume.shape != expected:
             raise ValueError(f"volume shape {self.volume.shape} != {expected}")
@@ -320,4 +314,4 @@ def normalize_clip(seq: FrameSequence, smooth: bool = True) -> NormalizedClip:
         plane = m_y @ plane @ m_x.T
         np.clip(plane, 0.0, 1.0, out=plane)
         volume[:, :, start:stop] = plane[:, :, None]
-    return NormalizedClip(volume=volume, role=seq.role)
+    return NormalizedClip(volume=volume)

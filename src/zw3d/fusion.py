@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureVector
+from .features import FeatureVector, feature_values
 
 MODES = ("independent", "fused")
 DECISIONS = ("no-match", "match-2d", "match-depth", "match-fused")  # a match's index - 1 picks its distance
@@ -70,14 +70,9 @@ class MatchResult:
     mode: str
 
 
-def _values(fn: FeatureVector | np.ndarray) -> np.ndarray:
-    v = fn.values if isinstance(fn, FeatureVector) else np.asarray(fn, dtype=np.float64)
-    return v
-
-
 def feature_distance(fn: FeatureVector | np.ndarray, fn_other: FeatureVector | np.ndarray) -> float:
     """Mean squared difference between two feature vectors."""
-    a, b = _values(fn), _values(fn_other)
+    a, b = feature_values(fn), feature_values(fn_other)
     if a.shape != b.shape:
         raise ValueError(f"feature length mismatch: {a.shape} vs {b.shape}")
     diff = a - b
@@ -181,7 +176,8 @@ def match_query(q2d, qdepth, db, thresholds: Thresholds, mode: str = "independen
     Matching is strict (< threshold). Results are sorted ascending by the
     distance that decided the match (fused distance in fused mode, the
     matched channel's distance otherwise), with the record id as tiebreak.
-    An empty registry yields an empty list.
+    An empty registry yields an empty list. A record whose distance to the
+    query is NaN raises ``ValueError`` in either mode.
 
     Records are scored ``BLOCK_ROWS`` at a time by one matrix-vector product
     per channel. A record goes on to the exact ``score_record`` when its Gram
@@ -191,7 +187,7 @@ def match_query(q2d, qdepth, db, thresholds: Thresholds, mode: str = "independen
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    shapes = (_values(q2d).shape, _values(qdepth).shape)
+    shapes = (feature_values(q2d).shape, feature_values(qdepth).shape)
     blocks = (np.empty((BLOCK_ROWS, *shapes[0])), np.empty((BLOCK_ROWS, *shapes[1])))
     ids: list[str] = []
     results: list[MatchResult] = []
@@ -213,12 +209,17 @@ def match_query(q2d, qdepth, db, thresholds: Thresholds, mode: str = "independen
 def _match_block(q2d, qdepth, blocks, ids, thresholds: Thresholds, mode: str) -> list[MatchResult]:
     """Matches among the first ``len(ids)`` buffered records: a Gram lower
     bound on each channel's distance, then ``score_record`` for every record
-    the bounds cannot rule out."""
+    the bounds cannot rule out. A NaN distance (a feature holding NaN or an
+    infinity) raises ``ValueError`` naming the record, since no decision can
+    be made on it."""
     lows = []
-    for q, block in zip((_values(q2d), _values(qdepth)), blocks):
+    for q, block in zip((feature_values(q2d), feature_values(qdepth)), blocks):
         rows = block[: len(ids)]
         sq_q, sq = q.dot(q), np.einsum("ij,ij->i", rows, rows)
-        lows.append(_gram_distances(sq_q, sq, rows @ q, q.size) - _gram_eps(q.size, np.maximum(sq_q, sq)))
+        low = _gram_distances(sq_q, sq, rows @ q, q.size) - _gram_eps(q.size, np.maximum(sq_q, sq))
+        if np.isnan(low).any():
+            raise ValueError(f"distance to record {ids[np.isnan(low).argmax()]!r} is NaN")
+        lows.append(low)
     out = []
     for k in np.flatnonzero(_decide(*lows, _fused_bound(*lows, thresholds.gamma, -1), thresholds, mode)):
         d2d, ddep, dfused, decision = score_record(q2d, qdepth, blocks[0][k], blocks[1][k], thresholds, mode)
@@ -253,7 +254,7 @@ def zero_anchored_quantile(values, q: float) -> float:
 def _channel_pair_distances(features, channel: int) -> tuple[np.ndarray, float]:
     """Gram distances of all record pairs i < j (row-major) on one channel,
     and their error bound. Only this channel's feature matrix is built."""
-    f = np.array([_values(row[channel]) for row in features], dtype=np.float64)
+    f = np.array([feature_values(row[channel]) for row in features], dtype=np.float64)
     gram = f @ f.T
     sq = gram.diagonal().copy()
     n_rec, n = f.shape
@@ -367,7 +368,20 @@ def calibration_report(db, target_pfp: float = TARGET_PFP, gamma: float = GAMMA)
 
 
 def write_calibration_csv(path, rows) -> None:
+    """Write ``calibration_report``'s rows, one threshold per line."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["threshold", "value", "target_pfp", "realized_pfp"])
         writer.writeheader()
         writer.writerows(rows)
+
+
+def read_calibration_csv(path) -> dict[str, float]:
+    """Threshold values by name from a CSV in ``write_calibration_csv``'s
+    format. A missing ``threshold`` or ``value`` column or a bad value raises
+    ``ValueError``; text that is not UTF-8 raises ``UnicodeDecodeError``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for column in ("threshold", "value"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"thresholds CSV {path} has no {column!r} column")
+        return {row["threshold"]: float(row["value"] or "") for row in reader}

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FEATURE_DIM, FeatureVector
+from .features import FEATURE_DIM, feature_values
 from .shares import SHARE_SIDE, WATERMARK_SIDE, validate_share
 
 MAGIC = b"ZW3D"
@@ -87,7 +87,7 @@ class RegistrationRecord:
 
 
 def _feature_values(fn) -> np.ndarray:
-    v = fn.values if isinstance(fn, FeatureVector) else np.asarray(fn, dtype=np.float64)
+    v = feature_values(fn)
     if v.shape != (FEATURE_DIM,):
         raise ValueError(f"feature must have length {FEATURE_DIM}, got {v.shape}")
     return v

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import FeatureVector
+from .features import FeatureVector, feature_values
 from .frameio import read_pbm, write_pbm
 
 WATERMARK_SIDE = 40
@@ -56,15 +56,11 @@ def validate_share(share: np.ndarray) -> np.ndarray:
 def binarize_feature(fn: FeatureVector | np.ndarray) -> np.ndarray:
     """Threshold a feature at its median into 1600 bits.
 
-    Uses the lower median (even length), strict >, so ties fall to 0. A
-    degenerate (all-equal) feature carries no information and is rejected.
+    Uses the lower median (even length), strict >, so ties fall to 0. An
+    all-equal feature (a degenerate one is all zeros) carries no information
+    and is rejected.
     """
-    if isinstance(fn, FeatureVector):
-        if fn.degenerate:
-            raise ValueError("non-informative feature")
-        values = fn.values
-    else:
-        values = np.asarray(fn, dtype=np.float64)
+    values = feature_values(fn)
     if np.ptp(values) == 0:
         raise ValueError("non-informative feature")
     t = np.sort(values)[(len(values) - 1) // 2]

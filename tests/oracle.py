@@ -18,14 +18,12 @@ def brute_tiri(volume, params):
     size, _ = volume.shape[0], volume.shape[2]
     out = np.zeros((size, size))
     ks = [params.tiri_stride * m for m in range(1, params.tiri_samples + 1)]
-    weights = [params.decay ** k for k in ks]
-    wsum = sum(weights)
     for i in range(size):
         for j in range(size):
             acc = 0.0
-            for k, w in zip(ks, weights):
-                acc += volume[i, j, k - 1] * w
-            out[i, j] = acc / wsum
+            for k in ks:
+                acc += volume[i, j, k - 1]
+            out[i, j] = acc / len(ks)
     return out
 
 

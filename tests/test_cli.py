@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from zw3d.cli import CONFIG_KEYS, main
 from zw3d.frameio import load_clip, write_pbm
 from zw3d.fusion import MODES
+from zw3d.registry import RegistrationRecord, Registry
+from zw3d.shares import build_master_share, build_ownership_share
 
 
 def run_cli(*argv):
@@ -240,6 +242,38 @@ def test_query_nan_threshold_or_gamma_exit_4(corpus, registered, flag):
     values = {"--t-2d": "0.5", "--t-depth": "0.5", "--t-fusion": "0.5", "--gamma": "0.1", flag: "nan"}
     code, _, err = run_cli("query", "--db", registered, "--clip-2d", clip / "2d",
                            "--clip-depth", clip / "depth", *(x for kv in values.items() for x in kv))
+    assert code == 4
+    assert "NaN" in err
+
+
+@pytest.fixture(scope="module")
+def nan_registry(tmp_path_factory):
+    """Three records r0..r2; r1's stored 2D feature holds one NaN."""
+    db = tmp_path_factory.mktemp("cli_nan") / "nan.zw3d"
+    rng = np.random.default_rng(17)
+    with Registry(db, "a") as reg:
+        for i in range(3):
+            f2d, fdep = rng.normal(size=1600), rng.normal(size=1600)
+            if i == 1:
+                f2d[5] = np.nan
+            w = rng.integers(0, 2, size=(40, 40), dtype=np.uint8)
+            o = build_ownership_share(build_master_share(rng.integers(0, 2, size=(40, 40), dtype=np.uint8)), w)
+            reg.register(RegistrationRecord(f"r{i}", f2d, fdep, o, o, w, w))
+    return db
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_query_nan_record_exit_4(corpus, nan_registry, mode):
+    clip = corpus / "clip000"
+    code, out, err = run_cli("query", "--db", nan_registry, "--clip-2d", clip / "2d",
+                             "--clip-depth", clip / "depth", "--mode", mode,
+                             "--t-2d", "inf", "--t-depth", "inf", "--t-fusion", "inf")
+    assert code == 4
+    assert "'r1' is NaN" in err and out == ""
+
+
+def test_calibrate_nan_record_exit_4(nan_registry, tmp_path):
+    code, _, err = run_cli("calibrate", "--db", nan_registry, "--out", tmp_path / "t.csv")
     assert code == 4
     assert "NaN" in err
 

@@ -7,6 +7,7 @@ from zw3d.features import (
     DISCARD,
     DEFAULT_PARAMS,
     FeatureParams,
+    _ring_plan,
     compute_tiri,
     extract_feature,
     ring_labels,
@@ -45,7 +46,7 @@ def test_tiri_frame_ramp():
     np.testing.assert_allclose(compute_tiri(vol), 0.525, atol=1e-12)
 
 
-def test_tiri_unit_decay_is_plain_average():
+def test_tiri_is_plain_average():
     rng = np.random.default_rng(0)
     vol = rng.random((320, 320, 100))
     expected = vol[:, :, 4::5].mean(axis=2)
@@ -217,6 +218,24 @@ def test_centroids_weight_scale_invariance():
     vol = rand_volume(rng, SMALL)
     np.testing.assert_allclose(extract_feature(vol * 7.3, SMALL).values,
                                extract_feature(vol, SMALL).values, atol=1e-12)
+
+
+# rings of width 0.5 around the center of a 20x20 grid: the nearest pixel
+# centers lie at Dist sqrt(0.5) and sqrt(2.5), so rings 0 and 2 hold no pixel
+EMPTY_RINGS = FeatureParams(size=20, frames=4, ring_count=5, ring_width=0.5,
+                            tiri_stride=1, tiri_samples=4)
+
+
+def test_pipeline_matches_brute_force_with_empty_rings():
+    _, rings = _ring_plan(EMPTY_RINGS)
+    assert rings.sum(axis=0).tolist() == [0.0, 4.0, 0.0, 8.0, 4.0]
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        vol = rand_volume(rng, EMPTY_RINGS)
+        fv = extract_feature(vol, EMPTY_RINGS)
+        expected, degenerate = brute_extract(vol, EMPTY_RINGS)
+        assert fv.degenerate == degenerate
+        assert np.abs(fv.values - expected).max() <= 1e-12
 
 
 def test_pipeline_matches_brute_force_small():

@@ -14,7 +14,9 @@ from zw3d.fusion import (
     fused_ber,
     match_query,
     pairwise_distances,
+    read_calibration_csv,
     score_record,
+    write_calibration_csv,
     zero_anchored_quantile,
 )
 
@@ -60,7 +62,7 @@ def test_distance_dot_product_identity():
 
 def test_distance_accepts_feature_vectors():
     rng = np.random.default_rng(2)
-    a = FeatureVector(values=rng.normal(size=1600), role="2d")
+    a = FeatureVector(values=rng.normal(size=1600))
     assert feature_distance(a, a) == 0.0
 
 
@@ -234,6 +236,15 @@ def test_calibrate_realized_rate_within_one_order_statistic():
         assert abs(row["realized_pfp"] - target) <= 1.0 / n_pairs + 1e-12
 
 
+def test_calibration_csv_round_trip(tmp_path):
+    rng = np.random.default_rng(12)
+    db, _ = make_db(rng, n=5)
+    th, rows = calibration_report(db)
+    write_calibration_csv(tmp_path / "t.csv", rows)
+    assert read_calibration_csv(tmp_path / "t.csv") == {
+        "t_2d": th.t_2d, "t_depth": th.t_depth, "t_fusion": th.t_fusion}
+
+
 def test_calibrate_needs_two_records():
     rng = np.random.default_rng(13)
     db = FakeRegistry([("only", zvec(rng), zvec(rng))])
@@ -257,6 +268,17 @@ def test_nan_scores_rejected_by_quantile_and_calibration():
     rows[2][1][3] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         calibration_report(db)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_match_query_rejects_nan_record(mode):
+    # one NaN 2D component makes the fused distance NaN, which no threshold
+    # (not even +inf) passes: the query must refuse the record, not skip it
+    rng = np.random.default_rng(16)
+    db, rows = make_db(rng)
+    rows[1][1][7] = np.nan
+    with pytest.raises(ValueError, match="'clip1' is NaN"):
+        match_query(rows[0][1], rows[0][2], db, Thresholds(np.inf, np.inf, np.inf), mode)
 
 
 def test_thresholds_validation():
