@@ -16,10 +16,10 @@ seq2d, seqdep = make_clip(seed=7, frames=64, size=96)
 print(f"clip: {len(seq2d)} frames of {seq2d.width}x{seq2d.height}")
 
 clip = normalize_clip(seq2d)
-print(f"normalized volume: {clip.volume.shape}, range "
-      f"[{clip.volume.min():.3f}, {clip.volume.max():.3f}]")
+print(f"normalized clip: {len(clip.planes)} planes of 320x320 for {len(clip.picks)} slots, "
+      f"volume {clip.volume.shape}, range [{clip.planes.min():.3f}, {clip.planes.max():.3f}]")
 
-tiri = compute_tiri(clip.volume)
+tiri = compute_tiri(clip)
 print(f"temporal reference image: mean {tiri.mean():.4f}, std {tiri.std():.4f}")
 
 labels = ring_labels()

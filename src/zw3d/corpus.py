@@ -19,14 +19,18 @@ from .shares import save_watermark
 
 
 def _grid(size: int):
+    """The pixel grid on [0, 1] as separable axes, y a (size, 1) column and x
+    a (1, size) row: against time as (F, 1, 1), an offset like ``xx - x(t)``
+    stays (F, 1, size) until a product spreads it over the whole volume."""
     ax = np.linspace(0.0, 1.0, size)
-    return np.meshgrid(ax, ax, indexing="ij")
+    return ax[:, None], ax[None, :]
 
 
 def _texture_volume(rng: np.random.Generator, frames: int, size: int) -> np.ndarray:
     yy, xx = _grid(size)
     t = np.arange(frames, dtype=np.float64)[:, None, None]
     vol = np.zeros((frames, size, size), dtype=np.float64)
+    buf = np.empty_like(vol)
 
     for _ in range(5):
         theta = rng.uniform(0, np.pi)
@@ -35,16 +39,24 @@ def _texture_volume(rng: np.random.Generator, frames: int, size: int) -> np.ndar
         drift = rng.uniform(-0.12, 0.12)
         amp = rng.uniform(0.5, 1.0)
         carrier = cycles * 2 * np.pi * (np.cos(theta) * xx + np.sin(theta) * yy)
-        vol += amp * np.sin(carrier[None, :, :] + phase + drift * t)
+        np.add(carrier + phase, drift * t, out=buf)
+        np.sin(buf, out=buf)
+        buf *= amp
+        vol += buf
 
     for _ in range(3):
         cx, cy = rng.uniform(0.2, 0.8, size=2)
         radius = rng.uniform(0.08, 0.25)
         vx, vy = rng.uniform(-0.002, 0.002, size=2)
         amp = rng.uniform(-1.2, 1.2)
-        dx = xx[None, :, :] - (cx + vx * t)
-        dy = yy[None, :, :] - (cy + vy * t)
-        vol += amp * np.exp(-(dx * dx + dy * dy) / (2 * radius * radius))
+        dx = xx - (cx + vx * t)
+        dy = yy - (cy + vy * t)
+        np.add(dx * dx, dy * dy, out=buf)
+        np.negative(buf, out=buf)
+        buf /= 2 * radius * radius
+        np.exp(buf, out=buf)
+        buf *= amp
+        vol += buf
 
     return vol
 
@@ -61,6 +73,7 @@ def _depth_volume(rng: np.random.Generator, frames: int, size: int) -> np.ndarra
     gx, gy = rng.uniform(-0.25, 0.25, size=2)
     backdrop = 0.35 + gx * (xx - 0.5) + gy * (yy - 0.5)
     vol = np.broadcast_to(backdrop, (frames, size, size)).copy()
+    u, v = np.empty_like(vol), np.empty_like(vol)
 
     objects = []
     for _ in range(int(rng.integers(3, 6))):
@@ -76,11 +89,16 @@ def _depth_volume(rng: np.random.Generator, frames: int, size: int) -> np.ndarra
         cx, cy = obj["center"]
         vx, vy = obj["velocity"]
         ct, st = np.cos(obj["theta"]), np.sin(obj["theta"])
-        dx = xx[None, :, :] - (cx + vx * t)
-        dy = yy[None, :, :] - (cy + vy * t)
-        u = (ct * dx + st * dy) / obj["axes"][0]
-        v = (-st * dx + ct * dy) / obj["axes"][1]
-        vol[u * u + v * v <= 1.0] = obj["depth"]
+        dx = xx - (cx + vx * t)
+        dy = yy - (cy + vy * t)
+        np.add(ct * dx, st * dy, out=u)
+        u /= obj["axes"][0]
+        np.add(-st * dx, ct * dy, out=v)
+        v /= obj["axes"][1]
+        u *= u
+        v *= v
+        u += v
+        np.copyto(vol, obj["depth"], where=u <= 1.0)
 
     return vol
 

@@ -16,6 +16,12 @@ implementation of the pipeline; it also runs on reduced geometries, where the
 tests compare it against the plain-loop reference in ``tests/oracle.py``.
 The ring sums are one product with a cached 0/1 ring-indicator matrix, so a
 ring that holds no pixel sums to 0 with no special case.
+
+A clip arrives frame-major (``frameio.NormalizedClip``: the distinct source
+planes plus the slot-to-plane map ``picks``). Deviation, arctan and ring sums
+run once per plane, in fixed blocks of 16 planes so the working buffers stay
+at 16 x pixels, and only the ring centroids are copied out to the 100 frames.
+A raw frame-last volume is the case of one plane per frame.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .frameio import NormalizedClip
 
 FEATURE_DIM = 1600
 DISCARD = -1
+_BLOCK = 16  # planes per pass of the per-pixel stages of extract_feature
 
 
 @dataclass(frozen=True)
@@ -62,12 +69,11 @@ class FeatureVector:
     """Z-scored feature of length ring_count*frames, ordered frame-major.
 
     ``values[k*N + n]`` is the centroid of ring ``n`` in frame ``k``. When the
-    pre-normalization feature is constant (blank clip), ``degenerate`` is set
-    and the values are all zero.
+    pre-normalization feature is constant (blank clip), the values are all
+    zero.
     """
 
     values: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -80,11 +86,30 @@ def feature_values(fn: FeatureVector | np.ndarray) -> np.ndarray:
     return fn.values if isinstance(fn, FeatureVector) else np.asarray(fn, dtype=np.float64)
 
 
-def compute_tiri(volume: np.ndarray, params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Temporally informative representative image of a volume: the mean of
-    frames k = stride*m (1-based) for m = 1..M."""
+def _frame_major(clip: NormalizedClip | np.ndarray, params: FeatureParams) -> tuple[np.ndarray, np.ndarray]:
+    """A clip's ``(planes, picks)``: a ``NormalizedClip``'s own, or a raw
+    frame-last ``(size, size, frames)`` volume copied to frame-major planes,
+    one per frame (``picks = arange(frames)``)."""
+    if isinstance(clip, NormalizedClip):
+        planes, picks = clip.planes, clip.picks
+    else:
+        volume = np.asarray(clip, dtype=np.float64)
+        planes = np.ascontiguousarray(np.moveaxis(volume, -1, 0))
+        picks = np.arange(len(planes))
+    if planes.shape[1:] != (params.size, params.size) or len(picks) != params.frames:
+        raise ValueError(f"clip of {len(picks)} frames of {planes.shape[1:]} does not match params")
+    return planes, picks
+
+
+def _tiri(planes: np.ndarray, picks: np.ndarray, params: FeatureParams) -> np.ndarray:
     s = params.tiri_stride
-    return volume[:, :, s - 1 : s * params.tiri_samples : s].mean(axis=2)
+    return planes[picks[s - 1 : s * params.tiri_samples : s]].mean(axis=0)
+
+
+def compute_tiri(clip: NormalizedClip | np.ndarray, params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Temporally informative representative image of a clip: the mean of
+    frames k = stride*m (1-based) for m = 1..M."""
+    return _tiri(*_frame_major(clip, params), params)
 
 
 def ring_labels(params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
@@ -144,15 +169,15 @@ def extract_feature(
     weight). The frame-major centroids are z-scored. A pixel whose reference
     is 0 has weight 0, so its arctan value never counts.
 
-    Only the ring-valid interior pixels are gathered, once, as a (pixels,
-    frames) matrix. Each ring's weighted sums and its weight are one product
-    with the 0/1 ring-indicator matrix of ``_ring_plan``.
+    The per-pixel stages run once per distinct plane, not per frame, over
+    blocks of ``_BLOCK`` planes: only the ring-valid interior pixels are
+    gathered into one ``(_BLOCK, pixels)`` buffer, and each ring's weighted
+    sums and its weight are one product with the 0/1 ring-indicator matrix
+    of ``_ring_plan``. The planes' centroids are then copied to the frames
+    that pick them.
     """
-    volume = clip.volume if isinstance(clip, NormalizedClip) else np.asarray(clip, dtype=np.float64)
-    if volume.shape != (params.size, params.size, params.frames):
-        raise ValueError(f"volume shape {volume.shape} does not match params")
-
-    tiri = compute_tiri(volume, params)
+    planes, picks = _frame_major(clip, params)
+    tiri = _tiri(planes, picks, params)
     flat, rings = _ring_plan(params)
 
     shifts = (
@@ -165,21 +190,27 @@ def extract_feature(
     nmax = full.ravel()[flat]
     full[1:-1, 1:-1] = np.minimum.reduce(shifts)
     nmin = full.ravel()[flat]
-
-    r = volume.reshape(-1, params.frames)[flat]  # (pixels, frames) copy
-    dev = nmax[:, None] - r
-    np.subtract(r, nmin[:, None], out=r)
-    np.maximum(dev, r, out=dev)
-
     t = tiri.ravel()[flat]
-    np.divide(dev, t[:, None], out=dev, where=(t != 0)[:, None])
-    np.arctan(dev, out=dev)
-    np.multiply(dev, t[:, None], out=dev)
-    num = rings.T @ dev  # (ring_count, frames)
+    nonzero = t != 0
+
+    pixels = planes.reshape(len(planes), -1)
+    num = np.empty((len(planes), params.ring_count))
+    r_buf = np.empty((min(_BLOCK, len(planes)), len(flat)))
+    dev_buf = np.empty_like(r_buf)
+    for start in range(0, len(planes), _BLOCK):
+        block = pixels[start : start + _BLOCK]
+        # flat is in range; mode="clip" skips the buffered, bounds-checked copy
+        r = np.take(block, flat, axis=1, out=r_buf[: len(block)], mode="clip")
+        dev = np.subtract(nmax, r, out=dev_buf[: len(block)])
+        np.subtract(r, nmin, out=r)
+        np.maximum(dev, r, out=dev)
+        np.divide(dev, t, out=dev, where=nonzero)
+        np.arctan(dev, out=dev)
+        np.multiply(dev, t, out=dev)
+        np.matmul(dev, rings, out=num[start : start + len(block)])
     den = t @ rings
     v = np.zeros_like(num)
-    np.divide(num, den[:, None], out=v, where=(den > 0)[:, None])
+    np.divide(num, den, out=v, where=den > 0)
 
-    fn, degenerate = zscore(v.T.ravel())
-    return FeatureVector(values=fn, degenerate=degenerate)
-
+    fn, _ = zscore(v[picks].ravel())
+    return FeatureVector(values=fn)

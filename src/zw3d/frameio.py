@@ -2,11 +2,14 @@
 
 Clips live on disk as directories of binary netpbm frames (PGM ``P5`` for
 grayscale/depth, PPM ``P6`` for color), named ``frame_%06d.pgm|ppm`` starting
-at 000000 with no gaps. Every clip is normalized to a fixed 320x320x100
-luminance volume in [0, 1] before feature extraction, so the rest of the
-pipeline never sees the source geometry. The spatial resampling (bilinear
-resize, then a 3x3 Gaussian) is one linear operator per axis, applied to
-each distinct picked frame as a pair of matrix products.
+at 000000 with no gaps. Every clip is normalized to 100 temporal
+slots of 320x320 luminance in [0, 1] before feature extraction, so the rest
+of the pipeline never sees the source geometry. The clip is stored
+frame-major, as the distinct picked source frames plus a slot-to-plane map,
+so a short clip is resampled (and later scored) once per source frame, not
+once per slot. The spatial resampling (bilinear resize, then a 3x3 Gaussian)
+is one linear operator per axis, applied to each distinct picked frame as a
+pair of matrix products.
 """
 
 from __future__ import annotations
@@ -74,16 +77,31 @@ class FrameSequence:
 
 @dataclass
 class NormalizedClip:
-    """Luminance volume of exact shape (320, 320, 100), values in [0, 1]."""
+    """A clip resampled to 100 temporal slots of 320x320 luminance in [0, 1].
 
-    volume: np.ndarray
+    Stored frame-major: ``planes`` is a C-contiguous ``(U, 320, 320)``
+    float64 array of the U distinct source frames the slots pick, and
+    ``picks[k]`` is the plane of slot k. A 64-frame clip holds 64 planes, not
+    100, and every per-pixel stage downstream runs once per plane.
+    """
+
+    planes: np.ndarray
+    picks: np.ndarray
 
     def __post_init__(self):
-        expected = (VOLUME_SIZE, VOLUME_SIZE, VOLUME_FRAMES)
-        if self.volume.shape != expected:
-            raise ValueError(f"volume shape {self.volume.shape} != {expected}")
-        if self.volume.min() < 0.0 or self.volume.max() > 1.0:
-            raise ValueError("volume values outside [0, 1]")
+        if self.planes.ndim != 3 or self.planes.shape[1:] != (VOLUME_SIZE, VOLUME_SIZE):
+            raise ValueError(f"plane stack shape {self.planes.shape} is not (U, {VOLUME_SIZE}, {VOLUME_SIZE})")
+        if self.picks.shape != (VOLUME_FRAMES,):
+            raise ValueError(f"picks shape {self.picks.shape} != ({VOLUME_FRAMES},)")
+        if self.picks.min() < 0 or self.picks.max() >= len(self.planes):
+            raise ValueError(f"picks outside the {len(self.planes)} planes")
+        if not (self.planes.min() >= 0.0 and self.planes.max() <= 1.0):  # NaN fails too
+            raise ValueError("plane values outside [0, 1]")
+
+    @property
+    def volume(self) -> np.ndarray:
+        """The frame-last ``(320, 320, 100)`` volume, built on each call."""
+        return np.moveaxis(self.planes[self.picks], 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +305,7 @@ def temporal_indices(n_src: int, n_dst: int = VOLUME_FRAMES) -> np.ndarray:
 
 
 def normalize_clip(seq: FrameSequence, smooth: bool = True) -> NormalizedClip:
-    """Resample a FrameSequence to the 320x320x100 luminance volume.
+    """Resample a FrameSequence to 100 slots of 320x320 luminance.
 
     Temporal axis uses nearest-index selection, spatial axes bilinear resize,
     followed by a 3x3 Gaussian (sigma 0.5). Color frames are converted to
@@ -296,22 +314,21 @@ def normalize_clip(seq: FrameSequence, smooth: bool = True) -> NormalizedClip:
     round-trip bit-for-bit (test hook).
 
     Resize and Gaussian are linear and separable, so each axis is one matrix
-    built once per clip and every distinct picked frame costs two matmuls,
-    ``m_y @ plane @ m_x.T``; only one source plane is held at a time.
+    built once per clip, and each distinct picked frame costs two matmuls,
+    ``m_y @ plane @ m_x.T``, written straight into its own contiguous plane;
+    the slots that repeat a frame share its plane through ``picks``. Only one
+    source plane is converted at a time.
     """
     m_y = bilinear_matrix(seq.height, VOLUME_SIZE)
     m_x = bilinear_matrix(seq.width, VOLUME_SIZE)
     if smooth:
         g = _gaussian3_matrix(VOLUME_SIZE)
         m_y, m_x = g @ m_y, g @ m_x
-    picks = temporal_indices(len(seq))
-    volume = np.empty((VOLUME_SIZE, VOLUME_SIZE, VOLUME_FRAMES), dtype=np.float64)
-    # picks never decrease, so each distinct source frame fills one run of slots
-    starts = np.flatnonzero(np.diff(picks, prepend=-1))
-    for start, stop in zip(starts, np.append(starts[1:], VOLUME_FRAMES)):
-        frame = seq.frames[picks[start]]
+    sources, picks = np.unique(temporal_indices(len(seq)), return_inverse=True)
+    planes = np.empty((len(sources), VOLUME_SIZE, VOLUME_SIZE), dtype=np.float64)
+    for out, k in zip(planes, sources):
+        frame = seq.frames[k]
         plane = to_luminance(frame) if frame.ndim == 3 else frame.astype(np.float64) / 255.0
-        plane = m_y @ plane @ m_x.T
-        np.clip(plane, 0.0, 1.0, out=plane)
-        volume[:, :, start:stop] = plane[:, :, None]
-    return NormalizedClip(volume=volume)
+        np.matmul(m_y @ plane, m_x.T, out=out)
+    np.clip(planes, 0.0, 1.0, out=planes)
+    return NormalizedClip(planes=planes, picks=picks)

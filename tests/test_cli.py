@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from zw3d.cli import CONFIG_KEYS, main
-from zw3d.frameio import load_clip, write_pbm
+from zw3d.frameio import load_clip, write_frame, write_pbm
 from zw3d.fusion import MODES
 from zw3d.registry import RegistrationRecord, Registry
 from zw3d.shares import build_master_share, build_ownership_share
@@ -338,9 +339,9 @@ _FLAGS = {"calibrate": ["--gamma", "--target-pfp"],
           "eval-det": []}
 
 
-def _damaged(data, text: str, label: str) -> bytes:
-    """``text`` as UTF-8 with up to two bytes overwritten and maybe cut short."""
-    raw = bytearray(text.encode())
+def _damaged(data, raw: bytes, label: str) -> bytes:
+    """``raw`` with up to two bytes overwritten and maybe cut short."""
+    raw = bytearray(raw)
     edits = st.lists(st.tuples(st.integers(0, max(len(raw) - 1, 0)), st.integers(0, 255)),
                      max_size=2 if raw else 0)
     for pos, byte in data.draw(edits, label=f"{label} edits"):
@@ -356,7 +357,7 @@ def test_random_text_inputs_exit_with_documented_codes(corpus, registered, tmp_p
                                                        config, table, genuine, impostor):
     damaged = data.draw(st.sampled_from([None, "cfg", "table.csv", "gen", "imp"]), label="damaged")
     for name, text in (("cfg", config), ("table.csv", table), ("gen", genuine), ("imp", impostor)):
-        (tmp_path / name).write_bytes(_damaged(data, text, name) if name == damaged else text.encode())
+        (tmp_path / name).write_bytes(_damaged(data, text.encode(), name) if name == damaged else text.encode())
     names = data.draw(st.permutations(_FLAGS[command]), label="flags")[: data.draw(st.integers(0, 2))]
     flags = [x for name in names for x in (name, data.draw(st.sampled_from(MODES) if name == "--mode"
                                                            else _NUMBER.map(repr), label=name))]
@@ -372,6 +373,88 @@ def test_random_text_inputs_exit_with_documented_codes(corpus, registered, tmp_p
     event(f"{command} exit {code}")
     assert code in (0, 1, 3, 4), err
     assert (code >= 3) == ("error: " in err)
+
+
+# -- random clip trees and watermark PBMs: documented exit codes only ------------
+
+# (operation, channel, frame index, byte position or length, byte value); frame
+# indices 12 and 13 lie past the corpus's 12 frames (an extra frame, or a gap)
+_CLIP_EDITS = st.lists(st.tuples(st.sampled_from(["delete", "edit", "cut", "replace", "rmdir"]),
+                                 st.sampled_from(["2d", "depth"]), st.integers(0, 13),
+                                 st.integers(0, 1 << 13), st.integers(0, 255)), max_size=2)
+_REPLACEMENTS = ((48, 48), (48, 48, 3), (8, 5), (1, 1))
+
+
+def _damage_clip(clip_dir: Path, edits) -> None:
+    for op, channel, k, pos, byte in edits:
+        folder, path = clip_dir / channel, clip_dir / channel / f"frame_{k:06d}.pgm"
+        if not folder.is_dir():
+            continue
+        if op == "rmdir":
+            shutil.rmtree(folder)
+        elif op == "replace":
+            write_frame(path, np.full(_REPLACEMENTS[pos % len(_REPLACEMENTS)], byte, dtype=np.uint8))
+        elif not path.exists():
+            continue
+        elif op == "delete":
+            path.unlink()
+        elif op == "edit":
+            raw = bytearray(path.read_bytes())
+            raw[pos % len(raw)] = byte
+            path.write_bytes(bytes(raw))
+        else:
+            path.write_bytes(path.read_bytes()[: pos % (path.stat().st_size + 1)])
+
+
+def _watermark_pbm(data, source: Path, target: Path, label: str) -> None:
+    """The corpus watermark or a random bitmap of random size, maybe damaged."""
+    shape = data.draw(st.none() | st.tuples(st.integers(1, 48), st.integers(1, 48)), label=f"{label} size")
+    if shape is None:
+        shutil.copyfile(source, target)
+    else:
+        write_pbm(target, np.random.default_rng(shape[0] * 64 + shape[1]).integers(0, 2, size=shape))
+    if data.draw(st.booleans(), label=f"{label} damaged"):
+        target.write_bytes(_damaged(data, target.read_bytes(), label))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(["register", "identify", "eval-ber"]),
+       source=st.integers(0, 2), edits=_CLIP_EDITS)
+def test_random_clip_trees_and_watermarks_exit_with_documented_codes(corpus, registered, tmp_path, data,
+                                                                     command, source, edits):
+    shutil.rmtree(tmp_path / "w", ignore_errors=True)
+    clip_id = f"clip{source:03d}"
+    # eval-ber reads <corpus>/<clip id>/<attack>/{2d,depth}; the others read the clip itself
+    clip = tmp_path / "w" / "tree" / clip_id / "attacked"
+    for channel in ("2d", "depth"):
+        shutil.copytree(corpus / clip_id / channel, clip / channel)
+    _damage_clip(clip, edits)
+    times = 1
+    if command == "register":
+        for channel in ("2d", "depth"):
+            _watermark_pbm(data, corpus / clip_id / f"watermark_{channel}.pbm",
+                           tmp_path / "w" / f"{channel}.pbm", f"watermark {channel}")
+        argv = ["register", "--db", tmp_path / "w" / "reg.zw3d", "--id", clip_id,
+                "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
+                "--watermark-2d", tmp_path / "w" / "2d.pbm", "--watermark-depth", tmp_path / "w" / "depth.pbm"]
+        times = data.draw(st.integers(1, 2), label="registrations")  # the second one is a duplicate
+    elif command == "identify":
+        # --auto at thresholds 1 matches a clip like the source, at 0 nothing (exit 1); with none it exits 4
+        pick = data.draw(st.sampled_from([["--id", clip_id], ["--auto"]]), label="pick")
+        if pick == ["--auto"] and data.draw(st.booleans(), label="thresholds"):
+            t = data.draw(st.sampled_from(["0", "1"]), label="threshold")
+            pick += ["--t-2d", t, "--t-depth", t, "--t-fusion", "1e9" if t == "1" else t]
+        argv = ["identify", "--db", registered, "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
+                "--out-dir", tmp_path / "w" / "rec", *pick]
+    else:
+        argv = ["eval-ber", "--db", registered, "--corpus-dir", tmp_path / "w" / "tree",
+                "--out", tmp_path / "w" / "ber.csv"]
+    for _ in range(times):
+        code, _, err = run_cli(*argv)
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2, 3, 4), err
+        assert (code >= 2) == ("error: " in err)
 
 
 def test_query_and_identify_share_retrieval_flags(capsys):

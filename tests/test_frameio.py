@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from zw3d.frameio import (
     FrameFormatError,
     FrameSequence,
+    NormalizedClip,
     load_clip,
     normalize_clip,
     read_frame,
@@ -259,6 +260,51 @@ def test_normalize_matches_brute_force(shape):
         clip = normalize_clip(make_seq([frame]), smooth=smooth)
         expected = brute_resample(plane.tolist(), 320, smooth)
         assert np.abs(clip.volume - expected[:, :, None]).max() <= 1e-12
+
+
+# Frame j of a clip is a base frame plus j gray levels (base levels 0-5, so no
+# level wraps up to 250 frames). Every row of the resampling operators sums to
+# 1, so frame j resamples to the base's plane plus j/255: one brute-force
+# resample of the base gives the exact plane of every slot.
+_BASE = np.random.default_rng(12).integers(0, 6, size=(23, 17, 3), dtype=np.uint8)
+_BASES = {"gray": _BASE[:, :, 0], "colour": _BASE}
+
+
+@pytest.fixture(scope="module")
+def brute_bases():
+    return {kind: brute_resample((to_luminance(b) if b.ndim == 3 else b / 255.0).tolist(), 320, True)
+            for kind, b in _BASES.items()}
+
+
+@pytest.mark.parametrize("n", [1, 37, 64, 100, 120, 250])
+@pytest.mark.parametrize("kind", ["gray", "colour"])
+def test_every_slot_holds_its_picked_frame_resampled(brute_bases, kind, n):
+    clip = normalize_clip(make_seq([_BASES[kind] + np.uint8(j) for j in range(n)]))
+    picks = temporal_indices(n)
+    assert clip.planes.shape == (len(np.unique(picks)), 320, 320) and clip.planes.flags.c_contiguous
+    volume = clip.volume
+    for k in range(100):
+        assert np.abs(volume[:, :, k] - (brute_bases[kind] + picks[k] / 255)).max() <= 1e-12
+
+
+_HALF = np.full((2, 320, 320), 0.5)
+_ZERO_PICKS = np.zeros(100, dtype=np.intp)
+
+
+@pytest.mark.parametrize("planes, picks, match", [
+    (np.full((2, 320, 319), 0.5), _ZERO_PICKS, "plane stack shape"),
+    (np.full((320, 320), 0.5), _ZERO_PICKS, "plane stack shape"),
+    (_HALF, np.zeros(99, dtype=np.intp), "picks shape"),
+    (_HALF, np.full(100, 2), "picks outside"),
+    (_HALF, np.full(100, -1), "picks outside"),
+    (_HALF + 0.6, _ZERO_PICKS, r"values outside \[0, 1\]"),
+    (_HALF - 0.6, _ZERO_PICKS, r"values outside \[0, 1\]"),
+    (_HALF * np.nan, _ZERO_PICKS, r"values outside \[0, 1\]"),
+], ids=["plane-side", "flat-stack", "short-picks", "pick-past-end", "negative-pick",
+        "above-1", "below-0", "nan"])
+def test_normalized_clip_rejects_bad_fields(planes, picks, match):
+    with pytest.raises(ValueError, match=match):
+        NormalizedClip(planes=planes, picks=picks)
 
 
 def test_zero_size_frames_rejected():
