@@ -10,8 +10,9 @@ flags all come from it.
 Geometric families change frame size (rs, cr) or count (fd); everything else
 preserves shape. Ops work on whole frames, gray ``(h, w)`` or colour
 ``(h, w, 3)`` alike; the arithmetic ones see a colour frame as three
-contiguous float64 planes ``(3, h, w)``. The stochastic families (gn, fr, fd)
-require a seed and are bit-reproducible under it.
+contiguous float64 planes ``(3, h, w)``, while the median filter (mf) selects
+on the uint8 frame itself, each colour plane apart. The stochastic families
+(gn, fr, fd) require a seed and are bit-reproducible under it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .frameio import FrameSequence, bilinear_matrix
@@ -28,6 +30,9 @@ from .frameio import FrameSequence, bilinear_matrix
 # ---------------------------------------------------------------------------
 # per-frame transforms
 # ---------------------------------------------------------------------------
+
+_WINDOWS = 16384  # windows per median selection band: 7.4 MB of uint16 at 15 x 15
+
 
 def _u8(x: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(x), 0, 255).astype(np.uint8)
@@ -45,6 +50,29 @@ def _planes(fn, frame, value):
 def _window(x: np.ndarray, w: int) -> tuple:
     """A w x w filter footprint that leaves a leading colour axis alone."""
     return (1,) * (x.ndim - 2) + (w, w)
+
+
+def _median(frame, window):
+    """Exact w x w median of a uint8 frame, edge-padded (``ndimage``'s "nearest").
+
+    The rank-``n // 2`` order statistic of each window, selected on a uint16
+    copy in row bands of at most ``_WINDOWS`` windows; a colour frame's
+    planes stay separate. numpy's vectorised selection covers 16-bit but not
+    8-bit integers, so selecting on uint16 is about 3x faster than on uint8.
+    """
+    r, n = window // 2, window * window
+    pad = ((r, r), (r, r)) + ((0, 0),) * (frame.ndim - 2)
+    views = sliding_window_view(np.pad(frame.astype(np.uint16), pad, mode="edge"),
+                                (window, window), axis=(0, 1))
+    out = np.empty_like(frame)
+    rows = max(1, _WINDOWS // (views[0].size // n))
+    for y in range(0, frame.shape[0], rows):
+        # one C-order copy: the reshape is a view of it and the selection runs in place
+        band = np.array(views[y : y + rows], order="C")
+        windows = band.reshape(-1, n)
+        windows.partition(n // 2, axis=1)
+        out[y : y + rows] = windows[:, n // 2].reshape(band.shape[:-2])
+    return out
 
 
 def _blur(x, window, sigma=1.0):
@@ -177,8 +205,7 @@ FAMILY_PARAMS = {
                  _pixels(_blur)),
     "af": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}", _pixels(
         lambda x, w: ndimage.uniform_filter(x, size=_window(x, w), mode="nearest"))),
-    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}", _pixels(
-        lambda x, w: ndimage.median_filter(x, size=_window(x, w), mode="nearest"))),
+    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}", _each(_median)),
     # contrast change around mid-gray 128, and multiplicative brightness gain
     "cc": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"}, "{v:+.0%}",
                  _pixels(lambda x, d: 128.0 + (x - 128.0) * (1.0 + d))),

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import GAMMA, feature_distance, fuse_scores, fused_ber, pairwise_distances
-from .registry import UnknownIdError
+from .fusion import GAMMA, fused_ber
 from .shares import ber, recover_from_feature
 
 CHANNELS = ("2d", "depth", "fused")
@@ -79,35 +78,12 @@ def det_curve(genuine_scores, impostor_scores) -> list[DetPoint]:
 
 
 # ---------------------------------------------------------------------------
-# score populations from a registry plus an attacked-feature corpus
+# BER tables from a registry plus an attacked-feature corpus
 # ---------------------------------------------------------------------------
 #
 # A corpus is an iterable of (clip_id, attack_name, fn_2d, fn_depth) holding
 # the features extracted from the attacked 2D and depth channels of a
 # registered clip.
-
-def impostor_scores(db, channel: str = "fused", gamma: float = GAMMA) -> np.ndarray:
-    """All distinct-registered-pair distances for one channel, from the Gram
-    path of ``pairwise_distances`` (within ~1e-12 of the exact distances)."""
-    features = [(fn2d, fndep) for _, fn2d, fndep in db.iterate_features()]
-    d2d, ddep, dfus = pairwise_distances(features, gamma)
-    return {"2d": d2d, "depth": ddep, "fused": dfus}[channel]
-
-
-def genuine_scores(db, corpus, channel: str = "fused", gamma: float = GAMMA) -> list[float]:
-    """Original-vs-attacked same-clip distances for one channel. A clip id
-    that is not registered raises ``UnknownIdError``."""
-    stored = {rid: (fn2d, fndep) for rid, fn2d, fndep in db.iterate_features()}
-    out = []
-    for clip_id, _attack, fn2d, fndep in corpus:
-        if clip_id not in stored:
-            raise UnknownIdError(f"unknown id: {clip_id!r}")
-        ref2d, refdep = stored[clip_id]
-        a = feature_distance(fn2d, ref2d)
-        b = feature_distance(fndep, refdep)
-        out.append({"2d": a, "depth": b, "fused": fuse_scores(a, b, gamma)}[channel])
-    return out
-
 
 def ber_table(db, corpus, gamma: float = GAMMA, attack_order=None) -> list[dict]:
     """Mean watermark-recovery BER per (attack, channel) over a corpus.

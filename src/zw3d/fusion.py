@@ -266,18 +266,6 @@ def _channel_pair_distances(features, channel: int) -> tuple[np.ndarray, float]:
     return out, _gram_eps(n, sq.max())
 
 
-def pairwise_distances(features: list[tuple[np.ndarray, np.ndarray]], gamma: float = GAMMA):
-    """Distances of all distinct record pairs (i < j, row-major), per channel
-    and fused, from one Gram matrix per channel.
-
-    Each channel's values lie within ``_gram_eps`` of ``feature_distance``;
-    ``calibration_report`` rescores exactly the pairs where that matters.
-    """
-    d2d, _ = _channel_pair_distances(features, 0)
-    ddep, _ = _channel_pair_distances(features, 1)
-    return d2d, ddep, _fuse(d2d, ddep, gamma)
-
-
 def _exact_quantile(lo: np.ndarray, hi: np.ndarray, exact, q: float) -> tuple[float, float]:
     """Zero-anchored quantile t of n scores x known as lo <= x <= hi, and the
     fraction of x strictly below t. This is the only code that reads order

@@ -5,10 +5,17 @@ criterion. The shared fixtures build a synthetic corpus (20 clips, 64 frames,
 96x96), register it, calibrate thresholds at a 1% false-positive target, and
 attack every clip with the full 26-instance catalog; the heavy robustness
 sweep dominates the runtime (minutes, bounded below).
+
+When ``ZW3D_QUALITY_JSON`` names a file, criterion 2 writes its worst symmetry
+delta and criterion 6 its per-attack P_fn/BER table into it as JSON, which
+``tools/bench_record.py --quality`` copies into a benchmark record.
 """
 
 import contextlib
+import json
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +66,17 @@ def criterion(number, description):
         print(f"criterion {number} ({description}): FAIL", flush=True)
         raise
     print(f"criterion {number} ({description}): PASS", flush=True)
+
+
+def record_quality(key, value):
+    """Merge ``{key: value}`` into the JSON file that ``ZW3D_QUALITY_JSON`` names, if any."""
+    name = os.environ.get("ZW3D_QUALITY_JSON")
+    if not name:
+        return
+    path = Path(name)
+    quality = json.loads(path.read_text()) if path.exists() else {}
+    quality[key] = value
+    path.write_text(json.dumps(quality, indent=1) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +172,7 @@ def test_criterion_2_exact_symmetry(bench):
         elapsed = time.time() - t0
         assert elapsed < 300.0, f"symmetry sweep took {elapsed:.0f}s"
         print(f"  worst component delta {worst:.2e} over {len(bench['ids'])} clips", flush=True)
+        record_quality("criterion_2", {"worst_delta": float(worst)})
 
 
 def test_criterion_3_oracle_equivalence():
@@ -222,12 +241,14 @@ def test_criterion_6_robustness_trend(bench, attacked):
         t0 = time.time()
         th = bench["thresholds"]
         pfn_per_attack = {}
+        ber_per_attack = {}
         ber_sums = {"2d": 0.0, "depth": 0.0, "fused": 0.0}
         gn005_fused = []
         n_rows = 0
         with Registry(bench["db_path"], "r") as db:
             for attack, rows in attacked["features"].items():
                 misses = 0
+                bers = []
                 for cid, f2d, fdep in rows:
                     ref2d, refdep = bench["feats"][cid]
                     d2d = feature_distance(f2d, ref2d)
@@ -242,6 +263,7 @@ def test_criterion_6_robustness_trend(bench, attacked):
                     lo = min(b2d, bdep)
                     hi = 2 * b2d * bdep / (b2d + bdep) if (b2d and bdep) else 0.0
                     assert lo - 1e-12 <= bfus <= hi + 1e-12, (attack, cid, b2d, bdep, bfus)
+                    bers.append((b2d, bdep, bfus))
                     ber_sums["2d"] += b2d
                     ber_sums["depth"] += bdep
                     ber_sums["fused"] += bfus
@@ -249,6 +271,7 @@ def test_criterion_6_robustness_trend(bench, attacked):
                         gn005_fused.append(bfus)
                     n_rows += 1
                 pfn_per_attack[attack] = misses / len(rows)
+                ber_per_attack[attack] = dict(zip(("2d", "depth", "fused"), np.mean(bers, axis=0).tolist()))
         assert len(pfn_per_attack) == 26
         mean_pfn = sum(pfn_per_attack.values()) / len(pfn_per_attack)
         mean_ber = {k: v / n_rows for k, v in ber_sums.items()}
@@ -257,6 +280,10 @@ def test_criterion_6_robustness_trend(bench, attacked):
         print(f"  fused P_fn mean {mean_pfn:.4f}; mean BER 2d {mean_ber['2d']:.4f} "
               f"depth {mean_ber['depth']:.4f} fused {mean_ber['fused']:.4f}; "
               f"GN-0.005 fused {gn_mean:.4f}; runtime {elapsed:.0f}s", flush=True)
+        record_quality("criterion_6", {
+            "fused_pfn_mean": mean_pfn, "mean_ber": mean_ber, "gn005_fused_ber": gn_mean,
+            "attacks": {a: {"fused_pfn": pfn_per_attack[a], "ber": ber_per_attack[a]}
+                        for a in pfn_per_attack}})
         assert mean_pfn <= 0.25, f"mean fused P_fn {mean_pfn:.4f}"
         assert mean_ber["fused"] <= mean_ber["2d"] + 1e-12
         assert mean_ber["fused"] <= mean_ber["depth"] + 1e-12

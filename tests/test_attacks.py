@@ -2,8 +2,21 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from zw3d.attacks import FAMILY_PARAMS, STOCHASTIC_FAMILIES, AttackSpec, apply_attack, attack_catalog
+from zw3d.attacks import (
+    _WINDOWS,
+    FAMILY_PARAMS,
+    STOCHASTIC_FAMILIES,
+    AttackSpec,
+    _median,
+    _planes,
+    _window,
+    apply_attack,
+    attack_catalog,
+)
 from zw3d.frameio import FrameSequence
 
 
@@ -214,6 +227,41 @@ def test_median_filter_kills_salt():
     seq = FrameSequence(frames=[frame], role="2d")
     out = apply_attack(seq, AttackSpec("mf", {"window": 9}))
     assert out.frames[0][10, 10] == 0
+
+
+def ndimage_median(frame, window):
+    """The float64-plane ``ndimage`` median filter that ``_median`` replaced."""
+    return _planes(lambda x, w: ndimage.median_filter(x, size=_window(x, w), mode="nearest"),
+                   frame, window)
+
+
+@st.composite
+def median_frames(draw):
+    """Gray or colour uint8 frames, sides 1..40, over the full range or over
+    2-4 levels (ties in nearly every window)."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40))) + draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([256, 2, 3, 4]))
+    values = np.arange(256) if levels == 256 else rng.choice(256, size=levels, replace=False)
+    return rng.choice(values, size=shape).astype(np.uint8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(frame=median_frames())
+def test_median_equals_ndimage_median(frame):
+    for window in (1, 3, 5):
+        np.testing.assert_array_equal(_median(frame, window), ndimage_median(frame, window))
+    for window in (9, 15):
+        out = apply_attack(FrameSequence([frame], "2d"), AttackSpec("mf", {"window": window}))
+        np.testing.assert_array_equal(out.frames[0], ndimage_median(frame, window))
+
+
+def test_median_across_bands():
+    # 100 x 3 windows a row, 54 rows a band: bands of 54, 54, 54 and 38 rows
+    frame = np.random.default_rng(10).integers(0, 256, size=(200, 100, 3), dtype=np.uint8)
+    assert -(-200 // (_WINDOWS // 300)) == 4
+    for window in (9, 15):
+        np.testing.assert_array_equal(_median(frame, window), ndimage_median(frame, window))
 
 
 def test_color_frames_pass_through_families():

@@ -2,14 +2,11 @@ import csv
 
 import numpy as np
 import pytest
-from oracle import brute_pair_distances
 
 from zw3d.evaluation import (
     ber_table,
     compute_rates,
     det_curve,
-    genuine_scores,
-    impostor_scores,
     write_ber_csv,
     write_det_csv,
 )
@@ -133,32 +130,6 @@ def test_det_identical_distributions():
     points = det_curve(shared, shared)
     for p in points:
         assert abs(p.pfp + p.pfn - 1.0) <= 0.01
-
-
-# -- score populations -------------------------------------------------------------
-
-def test_impostor_and_genuine_scores(tmp_path):
-    rng = np.random.default_rng(3)
-    path, feats, _ = registered_db(tmp_path, rng, n=4)
-    with Registry(path, "r") as db:
-        imp = impostor_scores(db, "2d")
-        assert len(imp) == 6  # C(4,2)
-        features = list(feats.values())
-        for channel, loop in zip(("2d", "depth", "fused"), brute_pair_distances(features)):
-            assert np.max(np.abs(impostor_scores(db, channel) - np.array(loop))) <= 1e-12
-        corpus = [(rid, "none", fn2d, fndep) for rid, (fn2d, fndep) in feats.items()]
-        gen = genuine_scores(db, corpus, "2d")
-        assert gen == [0.0] * 4
-        gen_fused = genuine_scores(db, corpus, "fused")
-        assert gen_fused == [0.0] * 4
-
-
-def test_genuine_scores_unknown_id(tmp_path):
-    rng = np.random.default_rng(10)
-    path, _, _ = registered_db(tmp_path, rng)
-    with Registry(path, "r") as db:
-        with pytest.raises(UnknownIdError, match="ghost"):
-            genuine_scores(db, [("ghost", "none", zvec(rng), zvec(rng))])
 
 
 # -- BER tables ----------------------------------------------------------------------

@@ -7,13 +7,13 @@ from zw3d.fusion import (
     BLOCK_ROWS,
     MODES,
     Thresholds,
+    _channel_pair_distances,
     calibrate_thresholds,
     calibration_report,
     feature_distance,
     fuse_scores,
     fused_ber,
     match_query,
-    pairwise_distances,
     read_calibration_csv,
     score_record,
     write_calibration_csv,
@@ -377,7 +377,7 @@ def test_calibration_quantile_node_inside_gram_window():
     rows += [(f"x{i}", zvec(rng), zvec(rng)) for i in range(4)]
     features = [(a, b) for _, a, b in rows]
     q = 10 / 66 + 0.004  # between the 10th and 11th of 66 pair distances
-    gram = zero_anchored_quantile(pairwise_distances(features)[0], q)
+    gram = zero_anchored_quantile(_channel_pair_distances(features, 0)[0], q)
     assert gram != zero_anchored_quantile(brute_pair_distances(features)[0], q)
     want = assert_calibration_is_exact(rows, q)
     assert 0.0 < want["t_2d"][0] < 1e-18
@@ -448,12 +448,3 @@ def test_match_rejects_feature_length_mismatch():
     rows = [("ok", zvec(rng), zvec(rng)), ("short", np.zeros(1), zvec(rng))]
     with pytest.raises(ValueError, match="length"):
         match_query(zvec(rng), zvec(rng), FakeRegistry(rows), Thresholds(1.0, 1.0, 1.0))
-
-
-def test_pairwise_distances_within_gram_bound_of_loop():
-    rng = np.random.default_rng(28)
-    features = [(a, b) for _, a, b in mixed_rows(rng, 30)]
-    got = pairwise_distances(features)
-    want = brute_pair_distances(features)
-    for g, w in zip(got, want):
-        assert len(g) == len(w) and np.max(np.abs(np.asarray(g) - w)) <= 1e-12

@@ -10,6 +10,12 @@ model, Python, numpy and scipy versions, and the checkout's git sha.
 
     python3 tools/bench_record.py                      # this checkout
     python3 tools/bench_record.py --checkout ../other  # another checkout
+    python3 tools/bench_record.py --quality q.json     # with the acceptance quality numbers
+
+``--quality`` copies a JSON file, as the acceptance suite writes it under
+``ZW3D_QUALITY_JSON=q.json`` (criterion 2's worst symmetry delta, criterion
+6's per-attack P_fn/BER table), into the record as ``quality``, so detection
+drift shows next to the timings.
 
 The file goes to the root of the repository that holds this script.
 
@@ -93,9 +99,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="root of the checkout to benchmark (default: this one)")
+    parser.add_argument("--quality", type=Path,
+                        help="acceptance-suite quality JSON of the same checkout to copy in")
     args = parser.parse_args(argv)
 
     checkout = args.checkout.resolve()
+    quality = json.loads(args.quality.read_text()) if args.quality else None
     rev = revision(checkout)
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
@@ -114,6 +123,7 @@ def main(argv=None) -> int:
         "seeds": list(SEEDS),
         "seconds": bench["run_seconds"],
         "workloads": {w: {f"trace{t}": summarize(runs[w, t]) for t in (0, 1)} for w in workloads},
+        "quality": quality,
     }
     out = ROOT / f"BENCH_{date}_{rev['name']}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
