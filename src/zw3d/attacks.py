@@ -52,27 +52,40 @@ def _window(x: np.ndarray, w: int) -> tuple:
     return (1,) * (x.ndim - 2) + (w, w)
 
 
-def _median(frame, window):
+def _median(frame, window, buf=None):
     """Exact w x w median of a uint8 frame, edge-padded (``ndimage``'s "nearest").
 
     The rank-``n // 2`` order statistic of each window, selected on a uint16
     copy in row bands of at most ``_WINDOWS`` windows; a colour frame's
     planes stay separate. numpy's vectorised selection covers 16-bit but not
     8-bit integers, so selecting on uint16 is about 3x faster than on uint8.
+    Each band is copied into ``buf`` (from ``_median_buffer``, made here when
+    not given), so a clip's frames can share one buffer.
     """
     r, n = window // 2, window * window
     pad = ((r, r), (r, r)) + ((0, 0),) * (frame.ndim - 2)
     views = sliding_window_view(np.pad(frame.astype(np.uint16), pad, mode="edge"),
                                 (window, window), axis=(0, 1))
+    if buf is None:
+        buf = _median_buffer(frame, window)
     out = np.empty_like(frame)
-    rows = max(1, _WINDOWS // (views[0].size // n))
+    rows = max(1, _WINDOWS // frame[0].size)
     for y in range(0, frame.shape[0], rows):
         # one C-order copy: the reshape is a view of it and the selection runs in place
-        band = np.array(views[y : y + rows], order="C")
+        chunk = views[y : y + rows]
+        band = buf[: chunk.size].reshape(chunk.shape)
+        np.copyto(band, chunk)
         windows = band.reshape(-1, n)
         windows.partition(n // 2, axis=1)
         out[y : y + rows] = windows[:, n // 2].reshape(band.shape[:-2])
     return out
+
+
+def _median_buffer(frame, window):
+    """The uint16 band buffer of ``_median`` for frames shaped like ``frame``:
+    ``frame[0].size`` windows (a row's pixels and colour planes) per row."""
+    rows = min(frame.shape[0], max(1, _WINDOWS // frame[0].size))
+    return np.empty(rows * frame[0].size * window * window, dtype=np.uint16)
 
 
 def _blur(x, window, sigma=1.0):
@@ -148,9 +161,17 @@ def _flip(frame, direction):
 # clip-level ops: op(frames, value, seed) -> frames
 # ---------------------------------------------------------------------------
 
-def _each(fn):
-    """Apply ``fn(frame, value)`` to every uint8 frame."""
-    return lambda frames, v, seed: [fn(f, v) for f in frames]
+def _each(fn, scratch=None):
+    """Apply ``fn(frame, value)`` to every uint8 frame; with ``scratch``, as
+    ``fn(frame, value, buf)`` with one ``buf = scratch(frames[0], value)`` for
+    the whole clip, whose frames share one shape."""
+    if scratch is None:
+        return lambda frames, v, seed: [fn(f, v) for f in frames]
+
+    def op(frames, v, seed):
+        buf = scratch(frames[0], v)
+        return [fn(f, v, buf) for f in frames]
+    return op
 
 
 def _pixels(fn):
@@ -205,7 +226,8 @@ FAMILY_PARAMS = {
                  _pixels(_blur)),
     "af": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}", _pixels(
         lambda x, w: ndimage.uniform_filter(x, size=_window(x, w), mode="nearest"))),
-    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}", _each(_median)),
+    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}",
+                 _each(_median, _median_buffer)),
     # contrast change around mid-gray 128, and multiplicative brightness gain
     "cc": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"}, "{v:+.0%}",
                  _pixels(lambda x, d: 128.0 + (x - 128.0) * (1.0 + d))),

@@ -14,19 +14,23 @@ The production geometry is a 320x320x100 volume, 16 rings of width 10, and a
 16x100 = 1600-dimensional feature. ``extract_feature`` is the one
 implementation of the pipeline; it also runs on reduced geometries, where the
 tests compare it against the plain-loop reference in ``tests/oracle.py``.
-The ring sums are one product with a cached 0/1 ring-indicator matrix, so a
-ring that holds no pixel sums to 0 with no special case.
+The pixels are gathered in ring order, so every ring is one contiguous run
+(an empty one for a ring that holds no pixel, which sums to 0 with no special
+case), and a ring's weighted sum is a product of its run with the reference
+image, split into runs short enough to stay on one OpenBLAS thread.
 
 A clip arrives frame-major (``frameio.NormalizedClip``: the distinct source
 planes plus the slot-to-plane map ``picks``). Deviation, arctan and ring sums
-run once per plane, in fixed blocks of 16 planes so the working buffers stay
-at 16 x pixels, and only the ring centroids are copied out to the 100 frames.
-A raw frame-last volume is the case of one plane per frame.
+run once per plane, in fixed blocks of 8 planes handed round-robin to up to
+two threads (``_WORKERS``), each with a buffer of 8 x pixels, and only the
+ring centroids are copied out to the 100 frames. A raw frame-last volume is
+the case of one plane per frame.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +39,13 @@ from .frameio import NormalizedClip
 
 FEATURE_DIM = 1600
 DISCARD = -1
-_BLOCK = 16  # planes per pass of the per-pixel stages of extract_feature
+_BLOCK = 8  # planes per pass of the per-pixel stages of extract_feature
+# longest pixel run per ring-sum product: an (8, 4096) product stays on one
+# OpenBLAS thread; after a multi-threaded call OpenBLAS's idle threads spin on
+# a CPU for ~0.1 s, which the extraction threads would have to share
+_RUN = 4096
+# threads for the per-pixel stages: the usable CPUs, at most 2
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -102,8 +112,15 @@ def _frame_major(clip: NormalizedClip | np.ndarray, params: FeatureParams) -> tu
 
 
 def _tiri(planes: np.ndarray, picks: np.ndarray, params: FeatureParams) -> np.ndarray:
+    """The mean of the sampled frames' planes, summed in frame order in place
+    (the same bits as ``mean(axis=0)`` of their stack, without the copy)."""
     s = params.tiri_stride
-    return planes[picks[s - 1 : s * params.tiri_samples : s]].mean(axis=0)
+    sampled = picks[s - 1 : s * params.tiri_samples : s]
+    tiri = planes[sampled[0]].copy()
+    for k in sampled[1:]:
+        tiri += planes[k]
+    tiri /= len(sampled)
+    return tiri
 
 
 def compute_tiri(clip: NormalizedClip | np.ndarray, params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
@@ -142,17 +159,20 @@ def zscore(f: np.ndarray) -> tuple[np.ndarray, bool]:
 
 @functools.cache
 def _ring_plan(params: FeatureParams) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the interior pixels inside the last ring, and their
-    (pixels, ring_count) 0/1 ring-indicator matrix; cached per geometry and
-    read-only, since every caller shares them."""
+    """Flat indices of the interior pixels inside the last ring, ordered by
+    ring (raster order within a ring), and the run bounds: ring n holds
+    ``flat[bounds[n]:bounds[n + 1]]``, an empty run for a ring with no pixel.
+    Cached per geometry and read-only, since every caller shares them."""
     labels = ring_labels(params)
     valid = labels >= 0
     # border pixels lack a full 8-neighborhood in the reference image
     valid[[0, -1], :] = valid[:, [0, -1]] = False
     flat = np.flatnonzero(valid.ravel())
-    rings = (labels.ravel()[flat, None] == np.arange(params.ring_count)).astype(np.float64)
-    flat.flags.writeable = rings.flags.writeable = False
-    return flat, rings
+    ring = labels.ravel()[flat]
+    flat = flat[np.argsort(ring, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ring, minlength=params.ring_count))))
+    flat.flags.writeable = bounds.flags.writeable = False
+    return flat, bounds
 
 
 def extract_feature(
@@ -170,15 +190,19 @@ def extract_feature(
     is 0 has weight 0, so its arctan value never counts.
 
     The per-pixel stages run once per distinct plane, not per frame, over
-    blocks of ``_BLOCK`` planes: only the ring-valid interior pixels are
-    gathered into one ``(_BLOCK, pixels)`` buffer, and each ring's weighted
-    sums and its weight are one product with the 0/1 ring-indicator matrix
-    of ``_ring_plan``. The planes' centroids are then copied to the frames
-    that pick them.
+    blocks of ``_BLOCK`` planes: the ring-valid interior pixels are gathered
+    in ring order (``_ring_plan``) into one ``(_BLOCK, pixels)`` buffer, the
+    ratio is a product with ``1/tiri`` (0 where the reference is 0), and each
+    ring's weighted sum is a product of its pixel run with ``tiri``, split
+    into runs of at most ``_RUN`` pixels. Blocks go round-robin to
+    ``_WORKERS`` threads, each with its own buffers (one worker runs inline);
+    a block's arithmetic is the same whichever thread runs it, so the values
+    do not depend on the worker count. The planes' centroids are then copied
+    to the frames that pick them.
     """
     planes, picks = _frame_major(clip, params)
     tiri = _tiri(planes, picks, params)
-    flat, rings = _ring_plan(params)
+    flat, bounds = _ring_plan(params)
 
     shifts = (
         tiri[:-2, :-2], tiri[:-2, 1:-1], tiri[:-2, 2:],
@@ -191,24 +215,45 @@ def extract_feature(
     full[1:-1, 1:-1] = np.minimum.reduce(shifts)
     nmin = full.ravel()[flat]
     t = tiri.ravel()[flat]
-    nonzero = t != 0
+    inv_t = np.zeros_like(t)
+    np.divide(1.0, t, out=inv_t, where=t != 0)
+    runs = [(n, a, min(a + _RUN, stop))
+            for n, (lo, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
+            for a in range(lo, stop, _RUN)]
 
     pixels = planes.reshape(len(planes), -1)
-    num = np.empty((len(planes), params.ring_count))
-    r_buf = np.empty((min(_BLOCK, len(planes)), len(flat)))
-    dev_buf = np.empty_like(r_buf)
-    for start in range(0, len(planes), _BLOCK):
-        block = pixels[start : start + _BLOCK]
-        # flat is in range; mode="clip" skips the buffered, bounds-checked copy
-        r = np.take(block, flat, axis=1, out=r_buf[: len(block)], mode="clip")
-        dev = np.subtract(nmax, r, out=dev_buf[: len(block)])
-        np.subtract(r, nmin, out=r)
-        np.maximum(dev, r, out=dev)
-        np.divide(dev, t, out=dev, where=nonzero)
-        np.arctan(dev, out=dev)
-        np.multiply(dev, t, out=dev)
-        np.matmul(dev, rings, out=num[start : start + len(block)])
-    den = t @ rings
+    num = np.zeros((len(planes), params.ring_count))
+    workers = min(_WORKERS, -(-len(planes) // _BLOCK))
+    # every worker's block buffer in one array, allocated here: each sits at
+    # the same alignment, so the products repeat exactly in any worker
+    bufs = np.empty((workers, min(_BLOCK, len(planes)), len(flat)))
+    # the deviation runs row by row, so nmax - r needs one row per worker
+    spans = np.empty((workers, len(flat)))
+
+    def work(w: int) -> None:
+        for start in range(w * _BLOCK, len(planes), workers * _BLOCK):
+            block = pixels[start : start + _BLOCK]
+            # flat is in range; mode="clip" skips the buffered, bounds-checked copy
+            dev = np.take(block, flat, axis=1, out=bufs[w, : len(block)], mode="clip")
+            for row in dev:
+                np.subtract(nmax, row, out=spans[w])
+                np.subtract(row, nmin, out=row)
+                np.maximum(spans[w], row, out=row)
+            np.multiply(dev, inv_t, out=dev)
+            np.arctan(dev, out=dev)
+            sums = num[start : start + len(block)]
+            for n, a, b in runs:
+                sums[:, n] += dev[:, a:b] @ t[a:b]
+
+    if workers == 1:
+        work(0)
+    else:
+        # imported only here: a process that never starts the pool does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(work, range(workers)))
+    den = np.array([t[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
     v = np.zeros_like(num)
     np.divide(num, den, out=v, where=den > 0)
 

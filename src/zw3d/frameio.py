@@ -9,7 +9,9 @@ frame-major, as the distinct picked source frames plus a slot-to-plane map,
 so a short clip is resampled (and later scored) once per source frame, not
 once per slot. The spatial resampling (bilinear resize, then a 3x3 Gaussian)
 is one linear operator per axis, applied to each distinct picked frame as a
-pair of matrix products.
+pair of matrix products. ``normalize_clip`` clips its planes to [0, 1] and
+hands them to ``NormalizedClip`` through a trusted constructor that skips the
+field checks; a clip built by hand is checked in full.
 """
 
 from __future__ import annotations
@@ -97,6 +99,15 @@ class NormalizedClip:
             raise ValueError(f"picks outside the {len(self.planes)} planes")
         if not (self.planes.min() >= 0.0 and self.planes.max() <= 1.0):  # NaN fails too
             raise ValueError("plane values outside [0, 1]")
+
+    @classmethod
+    def _trusted(cls, planes: np.ndarray, picks: np.ndarray) -> NormalizedClip:
+        """A clip of fields that ``normalize_clip`` has just built, shaped and
+        clipped to [0, 1]: set as they are, without the checks (the range
+        check alone is two more passes over the planes)."""
+        clip = object.__new__(cls)
+        clip.planes, clip.picks = planes, picks
+        return clip
 
     @property
     def volume(self) -> np.ndarray:
@@ -331,4 +342,4 @@ def normalize_clip(seq: FrameSequence, smooth: bool = True) -> NormalizedClip:
         plane = to_luminance(frame) if frame.ndim == 3 else frame.astype(np.float64) / 255.0
         np.matmul(m_y @ plane, m_x.T, out=out)
     np.clip(planes, 0.0, 1.0, out=planes)
-    return NormalizedClip(planes=planes, picks=picks)
+    return NormalizedClip._trusted(planes, picks)

@@ -1,8 +1,13 @@
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zw3d import features
 from zw3d.features import (
     DISCARD,
     DEFAULT_PARAMS,
@@ -13,7 +18,7 @@ from zw3d.features import (
     ring_labels,
     zscore,
 )
-from zw3d.frameio import FrameSequence, normalize_clip
+from zw3d.frameio import FrameSequence, NormalizedClip, normalize_clip
 from zw3d.fusion import feature_distance
 
 from oracle import (
@@ -241,8 +246,9 @@ EMPTY_RINGS = FeatureParams(size=20, frames=4, ring_count=5, ring_width=0.5,
 
 
 def test_pipeline_matches_brute_force_with_empty_rings():
-    _, rings = _ring_plan(EMPTY_RINGS)
-    assert rings.sum(axis=0).tolist() == [0.0, 4.0, 0.0, 8.0, 4.0]
+    flat, bounds = _ring_plan(EMPTY_RINGS)
+    assert np.diff(bounds).tolist() == [0, 4, 0, 8, 4]
+    assert (ring_labels(EMPTY_RINGS).ravel()[flat] == np.repeat(np.arange(5), np.diff(bounds))).all()
     rng = np.random.default_rng(12)
     for _ in range(5):
         vol = rand_volume(rng, EMPTY_RINGS)
@@ -274,6 +280,66 @@ def test_pipeline_matches_brute_force_across_plane_blocks():
         expected, degenerate = brute_extract(vol, MANY_FRAMES)
         assert not degenerate
         assert np.abs(extract_feature(vol, MANY_FRAMES).values - expected).max() <= 1e-12
+
+
+@st.composite
+def reduced_clips(draw):
+    """A random reduced geometry and a frame-major clip for it: U planes of
+    side 5..16 (U from 1 to 21: one to three blocks of 8, most of them
+    partial) and ``picks`` that repeat planes. Ring widths of 0.5 and 0.75
+    leave rings with no pixel; values are uniform, a few levels, or hold a
+    block black in every plane (reference 0)."""
+    size = draw(st.integers(5, 16))
+    width = draw(st.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0]))
+    rings = draw(st.integers(1, max(1, int(size / 2 // width))))
+    frames = draw(st.integers(2, 24))
+    stride = draw(st.integers(1, frames))
+    params = FeatureParams(size=size, frames=frames, ring_count=rings, ring_width=width,
+                           tiri_stride=stride, tiri_samples=draw(st.integers(1, frames // stride)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = rng.random((draw(st.integers(1, 21)), size, size))
+    kind = draw(st.sampled_from(["uniform", "levels", "black-block"]))
+    if kind == "levels":
+        planes = np.round(planes * 3) / 3
+    elif kind == "black-block":
+        planes[:, 1 : size // 2, 2 : size // 2 + 1] = 0.0
+    picks = np.sort(rng.integers(0, len(planes), size=frames))
+    return params, planes, picks
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(case=reduced_clips())
+def test_plane_blocks_match_brute_force_for_any_worker_count(case):
+    params, planes, picks = case
+    # the trusted constructor carries a reduced geometry past NormalizedClip's
+    # 320 x 320 x 100 shape check
+    clip = NormalizedClip._trusted(planes, picks)
+    expected, degenerate = brute_extract(np.moveaxis(planes[picks], 0, -1), params)
+    values = {}
+    for workers in (1, 2):
+        with mock.patch.object(features, "_WORKERS", workers):
+            values[workers] = extract_feature(clip, params).values
+    assert values[1].tobytes() == values[2].tobytes()
+    assert (not values[1].any()) == degenerate
+    assert np.abs(values[1] - expected).max() <= 1e-12
+
+
+def test_worker_threads_share_no_buffer():
+    # more workers than CPUs, and a thread switch every microsecond: a block
+    # computed in another worker's buffers, or a lost write to the shared
+    # centroid rows, changes the bits
+    vol = rand_volume(np.random.default_rng(15), MANY_FRAMES)  # 37 planes: 5 blocks of 8
+    with mock.patch.object(features, "_WORKERS", 1):
+        expected = extract_feature(vol, MANY_FRAMES).values.tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 5):
+            with mock.patch.object(features, "_WORKERS", workers):
+                for _ in range(10):
+                    assert extract_feature(vol, MANY_FRAMES).values.tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _constant(rng):

@@ -287,6 +287,32 @@ def test_every_slot_holds_its_picked_frame_resampled(brute_bases, kind, n):
         assert np.abs(volume[:, :, k] - (brute_bases[kind] + picks[k] / 255)).max() <= 1e-12
 
 
+# normalize_clip builds its clip through the trusted constructor, which skips
+# the [0, 1] check above: its own clip has to keep the extremes in range
+_EXTREMES = {
+    "all-0": np.zeros((24, 40), dtype=np.uint8),
+    "all-255": np.full((24, 40), 255, dtype=np.uint8),
+    "white": np.full((17, 9, 3), 255, dtype=np.uint8),
+    "saturated-colours": np.array([[[255, 0, 0], [0, 255, 0], [0, 0, 255]],
+                                   [[255, 255, 0], [0, 255, 255], [255, 0, 255]]], dtype=np.uint8),
+    "1x1-white": np.full((1, 1), 255, dtype=np.uint8),
+    "1x1-white-colour": np.full((1, 1, 3), 255, dtype=np.uint8),
+    "1x1-black": np.zeros((1, 1), dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("frame", _EXTREMES.values(), ids=_EXTREMES.keys())
+def test_normalize_clip_stays_in_unit_range(frame):
+    for smooth in (False, True):
+        clip = normalize_clip(make_seq([frame, 255 - frame, frame]), smooth=smooth)
+        assert clip.planes.min() >= 0.0 and clip.planes.max() <= 1.0
+        NormalizedClip(planes=clip.planes, picks=clip.picks)  # the checked constructor agrees
+        if not frame.any():
+            assert (clip.planes[0] == 0.0).all()
+        elif (frame == 255).all():
+            np.testing.assert_allclose(clip.planes[0], 1.0, atol=1e-12)
+
+
 _HALF = np.full((2, 320, 320), 0.5)
 _ZERO_PICKS = np.zeros(100, dtype=np.intp)
 
