@@ -12,7 +12,7 @@ from zw3d.attacks import AttackSpec, apply_attack
 from zw3d.corpus import make_clip, make_watermark
 from zw3d.features import extract_feature
 from zw3d.frameio import normalize_clip
-from zw3d.fusion import calibration_report, fused_ber, match_query
+from zw3d.fusion import calibration_report, fuse_scores, match_query
 from zw3d.registry import RegistrationRecord, Registry
 from zw3d.shares import (
     ber,
@@ -66,8 +66,8 @@ with tempfile.TemporaryDirectory(prefix="zw3d_demo_") as work:
         print(f"unrelated clip, fused mode: {len(results)} match(es)")
 
         # identification: recover the watermark from the blurred query
-        o2d_stored, _, w2d_stored, _ = db.lookup_ownership("clip03")
-        recovered = recover_from_feature(q2d, o2d_stored)
-        b = ber(w2d_stored, recovered)
+        stored = db.get_record("clip03")
+        recovered = recover_from_feature(q2d, stored.o_2d)
+        b = ber(stored.w_2d, recovered)
         print(f"recovered watermark BER under 15x15 blur: {b:.4f} "
-              f"(fused with clean depth: {fused_ber(b, 0.0):.4f})")
+              f"(fused with clean depth: {fuse_scores(b, 0.0):.4f})")

@@ -19,7 +19,7 @@ from zw3d.corpus import make_clip, make_watermark
 from zw3d.evaluation import det_curve, write_det_csv
 from zw3d.features import extract_feature
 from zw3d.frameio import normalize_clip
-from zw3d.fusion import calibrate_thresholds, feature_distance, fuse_scores, fused_ber
+from zw3d.fusion import calibration_report, feature_distance, fuse_scores
 from zw3d.registry import RegistrationRecord, Registry
 from zw3d.shares import (
     ber,
@@ -62,7 +62,7 @@ with tempfile.TemporaryDirectory(prefix="zw3d_bench_") as work:
             shares[cid] = (o2d, odep)
 
     with Registry(db_path, "r") as db:
-        th = calibrate_thresholds(db, target_pfp=0.01)
+        th = calibration_report(db, target_pfp=0.01)[0]
 print(f"thresholds: t_2d={th.t_2d:.3f} t_depth={th.t_depth:.3f} t_fusion={th.t_fusion:.3f}")
 print(f"{'attack':>8} {'P_fn(fused)':>12} {'BER 2d':>8} {'BER depth':>10} {'BER fused':>10}")
 
@@ -82,7 +82,7 @@ for spec in ATTACKS:
         bd = ber(wms[cid][1], recover_from_feature(fdep, shares[cid][1]))
         b2s.append(b2)
         bds.append(bd)
-        bfs.append(fused_ber(b2, bd))
+        bfs.append(fuse_scores(b2, bd))
     print(f"{spec.name:>8} {misses / N:>12.3f} {np.mean(b2s):>8.4f} "
           f"{np.mean(bds):>10.4f} {np.mean(bfs):>10.4f}")
 

@@ -40,11 +40,9 @@ from .shares import (
 from .fusion import (
     MatchResult,
     Thresholds,
-    calibrate_thresholds,
     calibration_report,
     feature_distance,
     fuse_scores,
-    fused_ber,
     match_query,
 )
 from .registry import (

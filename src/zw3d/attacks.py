@@ -2,10 +2,10 @@
 
 ``FAMILY_PARAMS`` is the single statement of the fourteen attack families:
 for each one it holds the parameter name and meaning, the allowed values with
-the slug each gives the instance name, the label format, the clip-level op and
-whether the op is stochastic. The 26-instance ``attack_catalog``,
-``apply_attack``'s dispatch, ``STOCHASTIC_FAMILIES`` and the CLI's attack
-flags all come from it.
+the slug each gives the instance name, the clip-level op and whether the op
+is stochastic. The 26-instance ``attack_catalog``, ``apply_attack``'s
+dispatch, ``STOCHASTIC_FAMILIES`` and the CLI's attack flags all come from
+it.
 
 Geometric families change frame size (rs, cr) or count (fd); everything else
 preserves shape. Ops work on whole frames, gray ``(h, w)`` or colour
@@ -215,43 +215,39 @@ class Family(NamedTuple):
     param: str            # the one parameter's name (and the CLI flag's)
     doc: str              # what the parameter means, in what unit (the flag's help)
     values: dict          # allowed value -> slug in the instance name, in catalog order
-    label: str            # label format over ``v``, after the upper-case family
     op: Callable          # op(frames, value, seed) -> frames
     stochastic: bool = False  # the op draws from ``seed``, so a seed is required
 
 
 FAMILY_PARAMS = {
     # Gaussian blur (variance 1), average and median filters over a w x w window
-    "gb": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}",
-                 _pixels(_blur)),
-    "af": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}", _pixels(
+    "gb": Family("window", "window side in pixels", {9: "9", 15: "15"}, _pixels(_blur)),
+    "af": Family("window", "window side in pixels", {9: "9", 15: "15"}, _pixels(
         lambda x, w: ndimage.uniform_filter(x, size=_window(x, w), mode="nearest"))),
-    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"}, "{v}x{v}",
+    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"},
                  _each(_median, _median_buffer)),
     # contrast change around mid-gray 128, and multiplicative brightness gain
-    "cc": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"}, "{v:+.0%}",
+    "cc": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"},
                  _pixels(lambda x, d: 128.0 + (x - 128.0) * (1.0 + d))),
-    "cb": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"}, "{v:+.0%}",
+    "cb": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"},
                  _pixels(lambda x, d: x * (1.0 + d))),
-    "gt": Family("gamma", "exponent", {0.6: "06", 1.4: "14"}, "{v}", _pixels(
+    "gt": Family("gamma", "exponent", {0.6: "06", 1.4: "14"}, _pixels(
         lambda x, g: np.power(x / 255.0, g) * 255.0)),
     # additive Gaussian noise
-    "gn": Family("variance", "variance on the [0,1] scale", {0.005: "005", 0.01: "01"}, "{v}",
+    "gn": Family("variance", "variance on the [0,1] scale", {0.005: "005", 0.01: "01"},
                  _noise, stochastic=True),
     # opaque checkerboard logo in the upper-left corner
-    "li": Family("size", "logo side in pixels", {32: "32", 64: "64"}, "{v}x{v}", _each(_logo)),
+    "li": Family("size", "logo side in pixels", {32: "32", 64: "64"}, _each(_logo)),
     # bilinear downscale of each side
-    "rs": Family("factor", "downscale denominator", {2: "2", 5: "5"}, "1/{v}", _pixels(_resize)),
+    "rs": Family("factor", "downscale denominator", {2: "2", 5: "5"}, _pixels(_resize)),
     # crop from every edge
-    "cr": Family("fraction", "share cut from each edge", {0.05: "5", 0.10: "10"}, "{v:.0%}",
-                 _each(_crop)),
+    "cr": Family("fraction", "share cut from each edge", {0.05: "5", 0.10: "10"}, _each(_crop)),
     # rotation about the centre, and vertical or horizontal mirror
-    "rt": Family("angle", "angle in degrees", {45: "45", 90: "90"}, "{v}", _each(_rotate)),
-    "fl": Family("direction", "mirror axis", {"vertical": "v", "horizontal": "h"}, "{v}",
-                 _each(_flip)),
+    "rt": Family("angle", "angle in degrees", {45: "45", 90: "90"}, _each(_rotate)),
+    "fl": Family("direction", "mirror axis", {"vertical": "v", "horizontal": "h"}, _each(_flip)),
     # frame replacement and frame dropping
-    "fr": Family("rate", "share of frames", {0.05: "5"}, "{v:.0%}", _replace, stochastic=True),
-    "fd": Family("rate", "share of frames", {0.05: "5"}, "{v:.0%}", _drop, stochastic=True),
+    "fr": Family("rate", "share of frames", {0.05: "5"}, _replace, stochastic=True),
+    "fd": Family("rate", "share of frames", {0.05: "5"}, _drop, stochastic=True),
 }
 
 STOCHASTIC_FAMILIES = tuple(f for f, fam in FAMILY_PARAMS.items() if fam.stochastic)
@@ -283,11 +279,6 @@ class AttackSpec:
     def name(self) -> str:
         """Filesystem-safe slug, e.g. gb9, ccm30, gn005, flv."""
         return self.family + FAMILY_PARAMS[self.family].values[self.value]
-
-    @property
-    def label(self) -> str:
-        """Human-readable table label, e.g. 'GB 9x9', 'CC -30%'."""
-        return f"{self.family.upper()} " + FAMILY_PARAMS[self.family].label.format(v=self.value)
 
 
 def attack_catalog(seed: int = 0) -> list[AttackSpec]:

@@ -30,7 +30,7 @@ from .fusion import (
     TARGET_PFP,
     Thresholds,
     calibration_report,
-    fused_ber,
+    fuse_scores,
     match_query,
     read_calibration_csv,
     write_calibration_csv,
@@ -163,18 +163,18 @@ def cmd_identify(args, config) -> int:
             record_id = results[0].record_id
         else:
             record_id = args.id
-        o2d, odep, w2d, wdep = db.lookup_ownership(record_id)
-    rec2d = recover_from_feature(fn2d, o2d)
-    recdep = recover_from_feature(fndep, odep)
+        rec = db.get_record(record_id)
+    rec2d = recover_from_feature(fn2d, rec.o_2d)
+    recdep = recover_from_feature(fndep, rec.o_depth)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_watermark(out_dir / "recovered_2d.pbm", rec2d)
     save_watermark(out_dir / "recovered_depth.pbm", recdep)
     gamma = _setting(args, config, "gamma", float, GAMMA)
-    b2d, bdep = ber(w2d, rec2d), ber(wdep, recdep)
+    b2d, bdep = ber(rec.w_2d, rec2d), ber(rec.w_depth, recdep)
     writer = csv.writer(sys.stdout)
     writer.writerow(["record_id", "ber_2d", "ber_depth", "ber_fused"])
-    writer.writerow([record_id, f"{b2d:.6f}", f"{bdep:.6f}", f"{fused_ber(b2d, bdep, gamma):.6f}"])
+    writer.writerow([record_id, f"{b2d:.6f}", f"{bdep:.6f}", f"{fuse_scores(b2d, bdep, gamma):.6f}"])
     return EXIT_OK
 
 
@@ -197,13 +197,15 @@ def cmd_attack(args, config) -> int:
 
 
 def cmd_dibr(args, config) -> int:
+    tags = {f"{round(baseline * 100):02d}": baseline for baseline in args.baseline}  # left_/right_<tag>
+    if len(tags) < len(args.baseline):
+        raise ValueError(f"baselines {args.baseline} share a view tag (left_/right_ + percent of width)")
     seq2d = load_clip(args.clip_2d, "2d")
     seqdep = load_clip(args.clip_depth, "depth")
     out_dir = Path(args.out_dir)
-    for baseline in args.baseline:
+    for tag, baseline in tags.items():
         cfg = BaselineConfig(baseline_fraction=baseline, convergence_depth=args.convergence)
         left, right = synthesize_clip(seq2d, seqdep, cfg)
-        tag = f"{round(baseline * 100):02d}"
         save_clip(out_dir / f"left_{tag}", left)
         save_clip(out_dir / f"right_{tag}", right)
         print(f"baseline {baseline:g}: wrote left_{tag}, right_{tag}")

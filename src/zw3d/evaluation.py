@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import GAMMA, fused_ber
+from .fusion import GAMMA, fuse_scores
 from .shares import ber, recover_from_feature
 
 CHANNELS = ("2d", "depth", "fused")
@@ -96,10 +96,10 @@ def ber_table(db, corpus, gamma: float = GAMMA, attack_order=None) -> list[dict]
     """
     per_attack: dict[str, list[tuple[float, float, float]]] = {}
     for clip_id, attack, fn2d, fndep in corpus:
-        o2d, odep, w2d, wdep = db.lookup_ownership(clip_id)
-        b2d = ber(w2d, recover_from_feature(fn2d, o2d))
-        bdep = ber(wdep, recover_from_feature(fndep, odep))
-        per_attack.setdefault(attack, []).append((b2d, bdep, fused_ber(b2d, bdep, gamma)))
+        rec = db.get_record(clip_id)
+        b2d = ber(rec.w_2d, recover_from_feature(fn2d, rec.o_2d))
+        bdep = ber(rec.w_depth, recover_from_feature(fndep, rec.o_depth))
+        per_attack.setdefault(attack, []).append((b2d, bdep, fuse_scores(b2d, bdep, gamma)))
     names = list(per_attack)
     if attack_order is not None:
         ordered = [a for a in attack_order if a in per_attack]

@@ -143,18 +143,18 @@ def ring_labels(params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
     return labels
 
 
-def zscore(f: np.ndarray) -> tuple[np.ndarray, bool]:
+def zscore(f: np.ndarray) -> np.ndarray:
     """Standardize to sample mean 0 / sample std 1 (ddof=1).
 
-    A near-zero standard deviation (< 1e-12) marks the feature degenerate and
-    yields the zero vector instead of dividing by noise.
+    A near-zero standard deviation (< 1e-12), as of a blank clip, yields the
+    zero vector instead of dividing by noise.
     """
     f = np.asarray(f, dtype=np.float64)
     mu = f.mean()
     sigma = f.std(ddof=1)
     if sigma < 1e-12:
-        return np.zeros_like(f), True
-    return (f - mu) / sigma, False
+        return np.zeros_like(f)
+    return (f - mu) / sigma
 
 
 @functools.cache
@@ -257,5 +257,4 @@ def extract_feature(
     v = np.zeros_like(num)
     np.divide(num, den, out=v, where=den > 0)
 
-    fn, _ = zscore(v[picks].ravel())
-    return FeatureVector(values=fn)
+    return FeatureVector(values=zscore(v[picks].ravel()))

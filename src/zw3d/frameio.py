@@ -315,26 +315,23 @@ def temporal_indices(n_src: int, n_dst: int = VOLUME_FRAMES) -> np.ndarray:
     return (np.arange(n_dst, dtype=np.intp) * n_src) // n_dst
 
 
-def normalize_clip(seq: FrameSequence, smooth: bool = True) -> NormalizedClip:
+def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     """Resample a FrameSequence to 100 slots of 320x320 luminance.
 
     Temporal axis uses nearest-index selection, spatial axes bilinear resize,
     followed by a 3x3 Gaussian (sigma 0.5). Color frames are converted to
     luminance first; grayscale frames, including depth maps, are scaled by
-    1/255. ``smooth=False`` skips the Gaussian so identity-shaped inputs
-    round-trip bit-for-bit (test hook).
+    1/255.
 
     Resize and Gaussian are linear and separable, so each axis is one matrix
-    built once per clip, and each distinct picked frame costs two matmuls,
-    ``m_y @ plane @ m_x.T``, written straight into its own contiguous plane;
-    the slots that repeat a frame share its plane through ``picks``. Only one
-    source plane is converted at a time.
+    (the Gaussian's times ``bilinear_matrix``) built once per clip, and each
+    distinct picked frame costs two matmuls, ``m_y @ plane @ m_x.T``, written
+    straight into its own contiguous plane; the slots that repeat a frame
+    share its plane through ``picks``. Only one source plane is converted at
+    a time.
     """
-    m_y = bilinear_matrix(seq.height, VOLUME_SIZE)
-    m_x = bilinear_matrix(seq.width, VOLUME_SIZE)
-    if smooth:
-        g = _gaussian3_matrix(VOLUME_SIZE)
-        m_y, m_x = g @ m_y, g @ m_x
+    g = _gaussian3_matrix(VOLUME_SIZE)
+    m_y, m_x = g @ bilinear_matrix(seq.height, VOLUME_SIZE), g @ bilinear_matrix(seq.width, VOLUME_SIZE)
     sources, picks = np.unique(temporal_indices(len(seq)), return_inverse=True)
     planes = np.empty((len(sources), VOLUME_SIZE, VOLUME_SIZE), dtype=np.float64)
     for out, k in zip(planes, sources):

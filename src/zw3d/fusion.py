@@ -141,11 +141,6 @@ def fuse_scores(s1: float, s2: float, gamma: float = GAMMA) -> float:
     return float(_fuse(s1, s2, gamma))
 
 
-def fused_ber(b_2d: float, b_depth: float, gamma: float = GAMMA) -> float:
-    """Attention-based fusion applied to a pair of bit error rates."""
-    return fuse_scores(b_2d, b_depth, gamma)
-
-
 def _decide(d2d, ddep, dfused, thresholds: Thresholds, mode: str) -> np.ndarray:
     """The match decision for each record's distances, as an index into
     ``DECISIONS``. Matching is strict (< threshold). In fused mode the fused
@@ -251,10 +246,9 @@ def zero_anchored_quantile(values, q: float) -> float:
     return _exact_quantile(x, x, x.__getitem__, q)[0]
 
 
-def _channel_pair_distances(features, channel: int) -> tuple[np.ndarray, float]:
-    """Gram distances of all record pairs i < j (row-major) on one channel,
-    and their error bound. Only this channel's feature matrix is built."""
-    f = np.array([feature_values(row[channel]) for row in features], dtype=np.float64)
+def _channel_pair_distances(f: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gram distances of all record pairs i < j (row-major) of one channel's
+    (records, n) feature matrix, and their error bound."""
     gram = f @ f.T
     sq = gram.diagonal().copy()
     n_rec, n = f.shape
@@ -302,32 +296,25 @@ def _exact_quantile(lo: np.ndarray, hi: np.ndarray, exact, q: float) -> tuple[fl
     return t, count / n
 
 
-def calibrate_thresholds(db, target_pfp: float = TARGET_PFP, gamma: float = GAMMA) -> Thresholds:
-    """Set each threshold so the distinct-pair false-positive fraction hits the target.
-
-    Uses all pairwise distances between features of distinct registered clips
-    and the zero-anchored interpolated quantile above. Needs >= 2 records.
-    """
-    return calibration_report(db, target_pfp, gamma)[0]
-
-
 def calibration_report(db, target_pfp: float = TARGET_PFP, gamma: float = GAMMA):
     """Calibrate and report realized false-positive fractions per threshold.
 
-    Pair distances come from one Gram matrix per channel. The pairs whose
-    distance could, within the Gram error bound, be a quantile node or fall
-    on the other side of a threshold are rescored with ``feature_distance``
-    (and ``_fuse``, the array form of ``fuse_scores``), so thresholds and
-    rates are those of the exact distances of every pair.
+    Each threshold is the zero-anchored quantile at ``target_pfp`` of one
+    score over all pairs of distinct records; at least 2 records are needed.
+    The scan copies each record's two features out of its read buffer, so
+    no buffer (with its shares and watermarks) outlives its record, and pair
+    distances come from one Gram matrix per channel. The pairs whose distance
+    could, within the Gram error bound, be a quantile node or fall on the
+    other side of a threshold are rescored with ``feature_distance`` (and
+    ``_fuse``, the array form of ``fuse_scores``), so thresholds and rates
+    are those of the exact distances of every pair.
     """
     _check_quantile(target_pfp)
-    features = [(fn2d, fndep) for _, fn2d, fndep in db.iterate_features()]
+    features = [np.array(row[1:], dtype=np.float64) for row in db.iterate_features()]
     if len(features) < 2:
         raise ValueError("calibration needs at least 2 registered clips")
-    d2d, eps_2d = _channel_pair_distances(features, 0)
-    ddep, eps_dep = _channel_pair_distances(features, 1)
+    dists, eps = zip(*(_channel_pair_distances(np.array([f[c] for f in features])) for c in (0, 1)))
     starts = np.concatenate([[0], np.cumsum(np.arange(len(features) - 1, 0, -1))])  # row i's first pair
-    dists, eps = (d2d, ddep), (eps_2d, eps_dep)
 
     def exact(channel, idx):
         """Exact scores of the pairs ``idx`` on channel 0 (2D), 1 (depth) or 2 (fused)."""

@@ -214,9 +214,6 @@ class Registry:
     def __len__(self) -> int:
         return len(self._index)
 
-    def __contains__(self, record_id: str) -> bool:
-        return record_id in self._index
-
     def ids(self) -> list[str]:
         return list(self._index)
 
@@ -250,11 +247,6 @@ class Registry:
         o_2d, o_depth = (validate_share(_unpack_bits(o, SHARE_SIDE)) for o in body["o"])
         w_2d, w_depth = (_unpack_bits(w, WATERMARK_SIDE) for w in body["w"])
         return RegistrationRecord(record_id, *body["fn"], o_2d, o_depth, w_2d, w_depth)
-
-    def lookup_ownership(self, record_id: str):
-        """Stored (O_2d, O_depth, W_2d, W_depth) for a clip id, bit-exact."""
-        rec = self.get_record(record_id)
-        return rec.o_2d, rec.o_depth, rec.w_2d, rec.w_depth
 
     def iterate_features(self):
         """Yield (id, fn_2d, fn_depth) for every record in insertion order.

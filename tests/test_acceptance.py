@@ -27,10 +27,9 @@ from zw3d.evaluation import compute_rates, det_curve
 from zw3d.features import FeatureParams, extract_feature
 from zw3d.frameio import load_clip, normalize_clip
 from zw3d.fusion import (
-    calibrate_thresholds,
+    calibration_report,
     feature_distance,
     fuse_scores,
-    fused_ber,
     match_query,
 )
 from zw3d.registry import RegistrationRecord, Registry
@@ -107,7 +106,7 @@ def bench(tmp_path_factory):
             wms[cid] = (w2d, wdep)
             shares[cid] = (o2d, odep)
     with Registry(db_path, "r") as db:
-        thresholds = calibrate_thresholds(db, target_pfp=TARGET_PFP, gamma=GAMMA)
+        thresholds = calibration_report(db, target_pfp=TARGET_PFP, gamma=GAMMA)[0]
     return dict(root=root, ids=ids, db_path=db_path, seqs=seqs, feats=feats,
                 wms=wms, shares=shares, thresholds=thresholds,
                 setup_seconds=time.time() - t0)
@@ -168,7 +167,7 @@ def test_criterion_2_exact_symmetry(bench):
             moved_dep = extract_feature(normalize_clip(apply_attack(seqdep, transforms[0])))
             b_dep = ber(wdep, recover_from_feature(moved_dep, odep))
             assert b_dep == 0.0
-            assert fused_ber(0.0, b_dep, GAMMA) == 0.0
+            assert fuse_scores(0.0, b_dep, GAMMA) == 0.0
         elapsed = time.time() - t0
         assert elapsed < 300.0, f"symmetry sweep took {elapsed:.0f}s"
         print(f"  worst component delta {worst:.2e} over {len(bench['ids'])} clips", flush=True)
@@ -222,10 +221,10 @@ def test_criterion_5_registration_round_trip(bench):
                     results = match_query(q2d, qdep, db, bench["thresholds"], mode=mode)
                     assert results and results[0].record_id == cid
                     assert results[0].d_2d == 0.0 and results[0].d_depth == 0.0
-                o2d, odep, w2d, wdep = db.lookup_ownership(cid)
-                b2d = ber(w2d, recover_from_feature(q2d, o2d))
-                bdep = ber(wdep, recover_from_feature(qdep, odep))
-                assert fused_ber(b2d, bdep, GAMMA) == 0.0
+                rec = db.get_record(cid)
+                b2d = ber(rec.w_2d, recover_from_feature(q2d, rec.o_2d))
+                bdep = ber(rec.w_depth, recover_from_feature(qdep, rec.o_depth))
+                assert fuse_scores(b2d, bdep, GAMMA) == 0.0
         # close/reopen must not change a byte
         assert bench["db_path"].read_bytes() == before
         with Registry(bench["db_path"], "r") as db:
@@ -255,10 +254,10 @@ def test_criterion_6_robustness_trend(bench, attacked):
                     ddep = feature_distance(fdep, refdep)
                     if fuse_scores(d2d, ddep, GAMMA) >= th.t_fusion:
                         misses += 1
-                    o2d, odep, w2d, wdep = db.lookup_ownership(cid)
-                    b2d = ber(w2d, recover_from_feature(f2d, o2d))
-                    bdep = ber(wdep, recover_from_feature(fdep, odep))
-                    bfus = fused_ber(b2d, bdep, GAMMA)
+                    rec = db.get_record(cid)
+                    b2d = ber(rec.w_2d, recover_from_feature(f2d, rec.o_2d))
+                    bdep = ber(rec.w_depth, recover_from_feature(fdep, rec.o_depth))
+                    bfus = fuse_scores(b2d, bdep, GAMMA)
                     # per-clip fusion bound: min <= fused <= harmonic mean
                     lo = min(b2d, bdep)
                     hi = 2 * b2d * bdep / (b2d + bdep) if (b2d and bdep) else 0.0

@@ -39,10 +39,10 @@ def test_catalog_is_26_instances():
 
 
 def test_catalog_contains_expected_instances():
-    labels = {s.label for s in attack_catalog()}
-    assert "RT 45" in labels and "RT 90" in labels
-    assert "FR 5%" in labels and "FD 5%" in labels
-    assert "GB 9x9" in labels and "GN 0.005" in labels
+    names = {s.name for s in attack_catalog()}
+    assert "rt45" in names and "rt90" in names
+    assert "fr5" in names and "fd5" in names
+    assert "gb9" in names and "gn005" in names
 
 
 def test_catalog_family_counts():

@@ -607,6 +607,13 @@ def test_dibr_two_baselines_four_sequences(corpus, tmp_path):
     assert names == ["left_05", "left_07", "right_05", "right_07"]
     for n in names:
         assert (tmp_path / "views" / n / "frame_000000.pgm").exists()
+    # 0.05 and 0.054 both round to the tag 05: refused before any view is written
+    code, _, err = run_cli(
+        "dibr", "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
+        "--out-dir", tmp_path / "clash", "--baseline", 0.05, "--baseline", 0.054,
+    )
+    assert code == 4 and "share a view tag" in err
+    assert not (tmp_path / "clash").exists()
 
 
 def test_eval_det_from_score_files(tmp_path):

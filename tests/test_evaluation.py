@@ -10,7 +10,7 @@ from zw3d.evaluation import (
     write_ber_csv,
     write_det_csv,
 )
-from zw3d.fusion import fused_ber
+from zw3d.fusion import fuse_scores
 from zw3d.registry import RegistrationRecord, Registry, UnknownIdError
 from zw3d.shares import binarize_feature, build_master_share, build_ownership_share, rearrange
 
@@ -187,7 +187,7 @@ def test_per_clip_fused_equals_formula(tmp_path):
     with Registry(path, "r") as db:
         rows = {r["channel"]: r["mean_ber"]
                 for r in ber_table(db, [("clip0", "gn", noisy2d, fndep)])}
-    assert rows["fused"] == fused_ber(rows["2d"], rows["depth"], 0.1)
+    assert rows["fused"] == fuse_scores(rows["2d"], rows["depth"], 0.1)
 
 
 # -- CSV writers -----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from zw3d.frameio import (
     FrameFormatError,
     FrameSequence,
     NormalizedClip,
+    bilinear_matrix,
     load_clip,
     normalize_clip,
     read_frame,
@@ -188,19 +189,17 @@ def test_normalize_constant_is_fixed_point():
     np.testing.assert_allclose(clip.volume, 128 / 255, atol=1e-12)
 
 
-def test_normalize_identity_without_smoothing():
-    rng = np.random.default_rng(7)
-    frames = [rng.integers(0, 256, size=(320, 320), dtype=np.uint8) for _ in range(100)]
-    clip = normalize_clip(make_seq(frames), smooth=False)
-    expected = np.stack([f / 255.0 for f in frames], axis=2)
-    assert (clip.volume == expected).all()
+def test_resampling_operators_at_the_volume_size_are_identities():
+    for n in (1, 2, 7, 320):
+        assert (bilinear_matrix(n, n) == np.eye(n)).all()
+    assert (temporal_indices(100) == np.arange(100)).all()
 
 
 def test_temporal_nearest_index_mapping():
     # 50-frame clip, frame k (1-based) constant k/50: output slot k_dst holds
     # frame floor((k_dst-1)/2)+1
     frames = [np.full((8, 8), round(255 * (k + 1) / 50), dtype=np.uint8) for k in range(50)]
-    clip = normalize_clip(make_seq(frames), smooth=False)
+    clip = normalize_clip(make_seq(frames))
     for k_dst in range(1, 101):
         src = (k_dst - 1) // 2 + 1
         expected = round(255 * src / 50) / 255
@@ -232,17 +231,6 @@ def test_normalize_commutes_with_horizontal_flip():
     assert np.abs(direct.volume - flipped_after).max() <= 1e-9
 
 
-def test_normalize_idempotent_without_smoothing():
-    rng = np.random.default_rng(10)
-    frames = [rng.integers(0, 256, size=(40, 30), dtype=np.uint8) for _ in range(9)]
-    once = normalize_clip(make_seq(frames), smooth=False)
-    re_encoded = [np.clip(np.rint(once.volume[:, :, k] * 255), 0, 255).astype(np.uint8)
-                  for k in range(100)]
-    twice = normalize_clip(make_seq(re_encoded), smooth=False)
-    expected = np.stack([f / 255.0 for f in re_encoded], axis=2)
-    assert (twice.volume == expected).all()
-
-
 def test_smoothing_preserves_constants():
     # at the volume's own size the resize is the identity and only the
     # Gaussian acts
@@ -256,10 +244,11 @@ def test_normalize_matches_brute_force(shape):
     rng = np.random.default_rng(11)
     frame = rng.integers(0, 256, size=shape, dtype=np.uint8)
     plane = to_luminance(frame) if frame.ndim == 3 else frame / 255.0
-    for smooth in (False, True):
-        clip = normalize_clip(make_seq([frame]), smooth=smooth)
-        expected = brute_resample(plane.tolist(), 320, smooth)
-        assert np.abs(clip.volume - expected[:, :, None]).max() <= 1e-12
+    resized = bilinear_matrix(plane.shape[0], 320) @ plane @ bilinear_matrix(plane.shape[1], 320).T
+    assert np.abs(resized - brute_resample(plane.tolist(), 320, False)).max() <= 1e-12
+    clip = normalize_clip(make_seq([frame]))
+    expected = brute_resample(plane.tolist(), 320, True)
+    assert np.abs(clip.volume - expected[:, :, None]).max() <= 1e-12
 
 
 # Frame j of a clip is a base frame plus j gray levels (base levels 0-5, so no
@@ -303,14 +292,13 @@ _EXTREMES = {
 
 @pytest.mark.parametrize("frame", _EXTREMES.values(), ids=_EXTREMES.keys())
 def test_normalize_clip_stays_in_unit_range(frame):
-    for smooth in (False, True):
-        clip = normalize_clip(make_seq([frame, 255 - frame, frame]), smooth=smooth)
-        assert clip.planes.min() >= 0.0 and clip.planes.max() <= 1.0
-        NormalizedClip(planes=clip.planes, picks=clip.picks)  # the checked constructor agrees
-        if not frame.any():
-            assert (clip.planes[0] == 0.0).all()
-        elif (frame == 255).all():
-            np.testing.assert_allclose(clip.planes[0], 1.0, atol=1e-12)
+    clip = normalize_clip(make_seq([frame, 255 - frame, frame]))
+    assert clip.planes.min() >= 0.0 and clip.planes.max() <= 1.0
+    NormalizedClip(planes=clip.planes, picks=clip.picks)  # the checked constructor agrees
+    if not frame.any():
+        assert (clip.planes[0] == 0.0).all()
+    elif (frame == 255).all():
+        np.testing.assert_allclose(clip.planes[0], 1.0, atol=1e-12)
 
 
 _HALF = np.full((2, 320, 320), 0.5)

@@ -8,11 +8,9 @@ from zw3d.fusion import (
     MODES,
     Thresholds,
     _channel_pair_distances,
-    calibrate_thresholds,
     calibration_report,
     feature_distance,
     fuse_scores,
-    fused_ber,
     match_query,
     read_calibration_csv,
     score_record,
@@ -110,13 +108,13 @@ def test_fusion_heterogeneity_monotonicity_bounds():
         assert abs(f - fuse_scores(s2, s1)) < 1e-15
 
 
-def test_fused_ber_conventions():
-    assert fused_ber(0.0, 0.2) == 0.0
-    assert abs(fused_ber(0.3, 0.3) - 0.3) < 1e-12
-    b = fused_ber(0.0619, 0.0628, 0.1)
+def test_fusion_of_bit_error_rates():
+    assert fuse_scores(0.0, 0.2) == 0.0
+    assert abs(fuse_scores(0.3, 0.3) - 0.3) < 1e-12
+    b = fuse_scores(0.0619, 0.0628, 0.1)
     assert 0.0619 <= b <= 0.06235
     with pytest.raises(ValueError):
-        fused_ber(-0.1, 0.2)
+        fuse_scores(-0.1, 0.2)
 
 
 # -- matching ---------------------------------------------------------------------
@@ -221,7 +219,7 @@ def test_quantile_target_one_matches_everything():
 def test_calibrate_two_records_no_false_match():
     rng = np.random.default_rng(11)
     db, rows = make_db(rng, n=2)
-    th = calibrate_thresholds(db, target_pfp=0.01)
+    th = calibration_report(db, target_pfp=0.01)[0]
     d = feature_distance(rows[0][1], rows[1][1])
     assert th.t_2d < d  # the lone distinct pair must not false-match
 
@@ -249,7 +247,7 @@ def test_calibrate_needs_two_records():
     rng = np.random.default_rng(13)
     db = FakeRegistry([("only", zvec(rng), zvec(rng))])
     with pytest.raises(ValueError, match="at least 2"):
-        calibrate_thresholds(db)
+        calibration_report(db)
 
 
 def test_calibration_rejects_bad_gamma_and_target():
@@ -377,7 +375,7 @@ def test_calibration_quantile_node_inside_gram_window():
     rows += [(f"x{i}", zvec(rng), zvec(rng)) for i in range(4)]
     features = [(a, b) for _, a, b in rows]
     q = 10 / 66 + 0.004  # between the 10th and 11th of 66 pair distances
-    gram = zero_anchored_quantile(_channel_pair_distances(features, 0)[0], q)
+    gram = zero_anchored_quantile(_channel_pair_distances(np.array([a for _, a, _ in rows]))[0], q)
     assert gram != zero_anchored_quantile(brute_pair_distances(features)[0], q)
     want = assert_calibration_is_exact(rows, q)
     assert 0.0 < want["t_2d"][0] < 1e-18

@@ -65,11 +65,10 @@ def test_round_trip_bit_exact(tmp_path):
         got = db.get_record("clip-é")
         np.testing.assert_array_equal(got.fn_2d, rec.fn_2d)
         np.testing.assert_array_equal(got.fn_depth, rec.fn_depth)
-        o2d, odep, w2d, wdep = db.lookup_ownership("clip-é")
-        np.testing.assert_array_equal(o2d, rec.o_2d)
-        np.testing.assert_array_equal(odep, rec.o_depth)
-        np.testing.assert_array_equal(w2d, rec.w_2d)
-        np.testing.assert_array_equal(wdep, rec.w_depth)
+        np.testing.assert_array_equal(got.o_2d, rec.o_2d)
+        np.testing.assert_array_equal(got.o_depth, rec.o_depth)
+        np.testing.assert_array_equal(got.w_2d, rec.w_2d)
+        np.testing.assert_array_equal(got.w_depth, rec.w_depth)
 
 
 def test_hundred_records_reopen(tmp_path):
@@ -109,7 +108,7 @@ def test_empty_registry_iterates_nothing(tmp_path):
 def test_unknown_id(tmp_path):
     with Registry(tmp_path / "db.zw3d", "a") as db:
         with pytest.raises(UnknownIdError):
-            db.lookup_ownership("ghost")
+            db.get_record("ghost")
 
 
 def test_durability_reopen_is_identity(tmp_path):
@@ -210,8 +209,8 @@ def test_store_watermarks_flag(tmp_path):
     with Registry(path, "a") as db:
         db.register(rec, store_watermarks=False)
     with Registry(path, "r") as db:
-        _, _, w2d, wdep = db.lookup_ownership("nowm")
-        assert not w2d.any() and not wdep.any()
+        got = db.get_record("nowm")
+        assert not got.w_2d.any() and not got.w_depth.any()
 
 
 

@@ -15,18 +15,18 @@ the gap between the medians and the parent's quartile distance.
     python3 tools/bench_pairs.py ../parent . --workload attack-sweep --seeds 3001-3010
     python3 tools/bench_pairs.py ../parent . --workload desk-ingest --seeds 1,2,3 --trace 1
 
-Each checkout runs its own ``bench/run.py`` from its own root; nothing under
-``bench/`` is imported or written here.
+Each checkout runs its own ``bench/run.py`` from its own root, through
+``bench_record.run_once``; nothing under ``bench/`` is imported or written here.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
-import subprocess
 import sys
 from pathlib import Path
+
+from bench_record import quartiles, run_once
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -36,20 +36,6 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
-
-
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode or not lines:
-        raise SystemExit(f"{checkout}: {' '.join(cmd)}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
-
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    return tuple(statistics.quantiles(values, n=4, method="inclusive")) if len(values) > 1 else (values[0],) * 3
 
 
 def report(name: str, parent: list[float], change: list[float], higher_better: bool | None) -> str:

@@ -77,16 +77,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
-        raise SystemExit(f"{' '.join(cmd)}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+        raise SystemExit(f"{checkout}: {' '.join(cmd)}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile (inclusive method)."""
+    return tuple(statistics.quantiles(values, n=4, method="inclusive")) if len(values) > 1 else (values[0],) * 3
 
 
 def summarize(results: list[dict]) -> dict:
     metrics = {}
     for name in results[0]["metrics"]:
         values = [r["metrics"][name]["value"] for r in results]
-        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                          if len(values) > 1 else values * 3)
+        q1, median, q3 = quartiles(values)
         metrics[name] = {"median": median, "q1": q1, "q3": q3, "values": values,
                          "unit": results[0]["metrics"][name]["unit"]}
     return {"correct": all(r["correct"] for r in results),
