@@ -8,14 +8,17 @@ of the pipeline never sees the source geometry. The clip is stored
 frame-major, as the distinct picked source frames plus a slot-to-plane map,
 so a short clip is resampled (and later scored) once per source frame, not
 once per slot. The spatial resampling (bilinear resize, then a 3x3 Gaussian)
-is one linear operator per axis, applied to each distinct picked frame as a
-pair of matrix products. ``normalize_clip`` clips its planes to [0, 1] and
-hands them to ``NormalizedClip`` through a trusted constructor that skips the
-field checks; a clip built by hand is checked in full.
+is one linear operator per axis, cached per source side as bands of rows cut
+to their nonzero columns, and applied to each distinct picked frame as one
+small product per band and axis, each short enough to stay on one OpenBLAS
+thread. ``normalize_clip`` clips each output band to [0, 1] as it is written
+and hands the planes to ``NormalizedClip`` through a trusted constructor that
+skips the field checks; a clip built by hand is checked in full.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -32,6 +35,14 @@ ROLES = ("2d", "depth", "synthesized")
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 _FRAME_RE = re.compile(r"frame_(\d{6})\.(pgm|ppm)$")
+
+# output rows per band of a resampling operator. A band of a side-n operator
+# (n <= 320) spans at most 35 source columns, so a band product is at most
+# 32 x 35 x 320 = 358,400 multiply-adds and stays on one OpenBLAS thread: on a
+# 2-vCPU VM (OpenBLAS 0.3.31) products up to 983,040 ran at CPU/wall 1.00 and
+# 1,024,000 at 1.94. After a multi-threaded call OpenBLAS's idle worker spins
+# on a CPU for ~0.1 s, which the extraction that follows would have to share.
+_BAND = 32
 
 
 class FrameFormatError(ValueError):
@@ -315,6 +326,25 @@ def temporal_indices(n_src: int, n_dst: int = VOLUME_FRAMES) -> np.ndarray:
     return (np.arange(n_dst, dtype=np.intp) * n_src) // n_dst
 
 
+@functools.cache
+def _operator_bands(n_src: int) -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
+    """The side-``n_src`` axis operator, 3x3 Gaussian times
+    ``bilinear_matrix(n_src, 320)``, cut into bands of ``_BAND`` rows:
+    ``(r0, r1, c0, c1, block)`` with ``block = m[r0:r1, c0:c1]`` and ``c0:c1``
+    spanning every nonzero column of those rows. Cached per side and
+    read-only, since every clip of that side shares them."""
+    m = _gaussian3_matrix(VOLUME_SIZE) @ bilinear_matrix(n_src, VOLUME_SIZE)
+    bands = []
+    for r0 in range(0, VOLUME_SIZE, _BAND):
+        r1 = min(r0 + _BAND, VOLUME_SIZE)
+        cols = np.flatnonzero(m[r0:r1].any(axis=0))
+        c0, c1 = int(cols[0]), int(cols[-1]) + 1
+        block = m[r0:r1, c0:c1].copy()
+        block.flags.writeable = False
+        bands.append((r0, r1, c0, c1, block))
+    return tuple(bands)
+
+
 def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     """Resample a FrameSequence to 100 slots of 320x320 luminance.
 
@@ -324,19 +354,28 @@ def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     1/255.
 
     Resize and Gaussian are linear and separable, so each axis is one matrix
-    (the Gaussian's times ``bilinear_matrix``) built once per clip, and each
-    distinct picked frame costs two matmuls, ``m_y @ plane @ m_x.T``, written
-    straight into its own contiguous plane; the slots that repeat a frame
-    share its plane through ``picks``. Only one source plane is converted at
-    a time.
+    (the Gaussian's times ``bilinear_matrix``), and each distinct picked frame
+    is ``m_y @ plane @ m_x.T``. Each operator is nonzero only near its
+    diagonal, so it is cached per source side as bands of rows cut to their
+    nonzero columns (``_operator_bands``), and a plane costs one band product
+    per x-band into a ``(h, 320)`` scratch, then one per y-band written
+    straight into its own contiguous plane and clipped to [0, 1] while it is
+    still in cache; the slots that repeat a frame share its plane through
+    ``picks``. For sides up to 320 every band product stays on one OpenBLAS
+    thread; larger sides give the same planes but may use BLAS threads. Only
+    one source plane is converted at a time.
     """
-    g = _gaussian3_matrix(VOLUME_SIZE)
-    m_y, m_x = g @ bilinear_matrix(seq.height, VOLUME_SIZE), g @ bilinear_matrix(seq.width, VOLUME_SIZE)
+    y_bands, x_bands = _operator_bands(seq.height), _operator_bands(seq.width)
     sources, picks = np.unique(temporal_indices(len(seq)), return_inverse=True)
     planes = np.empty((len(sources), VOLUME_SIZE, VOLUME_SIZE), dtype=np.float64)
+    tmp = np.empty((seq.height, VOLUME_SIZE), dtype=np.float64)
     for out, k in zip(planes, sources):
         frame = seq.frames[k]
         plane = to_luminance(frame) if frame.ndim == 3 else frame.astype(np.float64) / 255.0
-        np.matmul(m_y @ plane, m_x.T, out=out)
-    np.clip(planes, 0.0, 1.0, out=planes)
+        for r0, r1, c0, c1, block in x_bands:
+            np.matmul(plane[:, c0:c1], block.T, out=tmp[:, r0:r1])
+        for r0, r1, c0, c1, block in y_bands:
+            band = out[r0:r1]
+            np.matmul(block, tmp[c0:c1], out=band)
+            np.clip(band, 0.0, 1.0, out=band)
     return NormalizedClip._trusted(planes, picks)

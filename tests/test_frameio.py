@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from zw3d import frameio
 from zw3d.frameio import (
     FrameFormatError,
     FrameSequence,
@@ -274,6 +275,40 @@ def test_every_slot_holds_its_picked_frame_resampled(brute_bases, kind, n):
     volume = clip.volume
     for k in range(100):
         assert np.abs(volume[:, :, k] - (brute_bases[kind] + picks[k] / 255)).max() <= 1e-12
+
+
+# normalize_clip applies each axis operator as cached bands of rows cut to
+# their nonzero columns; the result must be the clipped dense product
+
+def _dense_operator(n):
+    return frameio._gaussian3_matrix(320) @ bilinear_matrix(n, 320)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(h=st.integers(1, 400), w=st.integers(1, 400), colour=st.booleans(),
+       levels=st.sampled_from(["full", "extremes"]), seed=st.integers(0, 2**32 - 1))
+def test_band_products_equal_the_dense_operators(h, w, colour, levels, seed):
+    rng = np.random.default_rng(seed)
+    shape = (h, w, 3) if colour else (h, w)
+    frame = (rng.integers(0, 256, size=shape) if levels == "full"
+             else 255 * rng.integers(0, 2, size=shape)).astype(np.uint8)
+    plane = to_luminance(frame) if colour else frame / 255.0
+    for n in (h, w):
+        dense = np.zeros((320, n))
+        for r0, r1, c0, c1, block in frameio._operator_bands(n):
+            dense[r0:r1, c0:c1] = block
+        assert (dense == _dense_operator(n)).all()
+    expected = np.clip(_dense_operator(h) @ plane @ _dense_operator(w).T, 0.0, 1.0)
+    clip = normalize_clip(make_seq([frame]))
+    assert np.abs(clip.planes[0] - expected).max() <= 1e-13
+
+
+def test_band_products_stay_within_one_blas_thread():
+    # the worst case: a side-n operator against 320 on the other axis, where
+    # both stages multiply 320 x k x rows for a band of k columns
+    for n in range(1, 321):
+        for r0, r1, c0, c1, _ in frameio._operator_bands(n):
+            assert 320 * (c1 - c0) * (r1 - r0) <= 983_040, (n, r0)
 
 
 # normalize_clip builds its clip through the trusted constructor, which skips
