@@ -21,8 +21,9 @@ image, split into runs short enough to stay on one OpenBLAS thread.
 
 A clip arrives frame-major (``frameio.NormalizedClip``: the distinct source
 planes plus the slot-to-plane map ``picks``). Deviation, arctan and ring sums
-run once per plane, in fixed blocks of 8 planes handed round-robin to up to
-two threads (``_WORKERS``), each with a buffer of 8 x pixels, and only the
+run once per plane, in fixed blocks of 8 planes on the worker threads that
+``normalize_clip`` uses too (``frameio._run_blocks``, which holds the block
+size and the worker count), each with a buffer of 8 x pixels, and only the
 ring centroids are copied out to the 100 frames. A raw frame-last volume is
 the case of one plane per frame.
 """
@@ -30,22 +31,18 @@ the case of one plane per frame.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frameio import NormalizedClip
+from .frameio import _BLOCK, NormalizedClip, _block_workers, _run_blocks
 
 FEATURE_DIM = 1600
 DISCARD = -1
-_BLOCK = 8  # planes per pass of the per-pixel stages of extract_feature
 # longest pixel run per ring-sum product: an (8, 4096) product stays on one
 # OpenBLAS thread; after a multi-threaded call OpenBLAS's idle threads spin on
 # a CPU for ~0.1 s, which the extraction threads would have to share
 _RUN = 4096
-# threads for the per-pixel stages: the usable CPUs, at most 2
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -194,11 +191,11 @@ def extract_feature(
     in ring order (``_ring_plan``) into one ``(_BLOCK, pixels)`` buffer, the
     ratio is a product with ``1/tiri`` (0 where the reference is 0), and each
     ring's weighted sum is a product of its pixel run with ``tiri``, split
-    into runs of at most ``_RUN`` pixels. Blocks go round-robin to
-    ``_WORKERS`` threads, each with its own buffers (one worker runs inline);
-    a block's arithmetic is the same whichever thread runs it, so the values
-    do not depend on the worker count. The planes' centroids are then copied
-    to the frames that pick them.
+    into runs of at most ``_RUN`` pixels. Blocks go round-robin to the worker
+    threads of ``frameio._run_blocks``, each with its own buffers (one worker
+    runs inline); a block's arithmetic is the same whichever thread runs it,
+    so the values do not depend on the worker count. The planes' centroids
+    are then copied to the frames that pick them.
     """
     planes, picks = _frame_major(clip, params)
     tiri = _tiri(planes, picks, params)
@@ -223,36 +220,28 @@ def extract_feature(
 
     pixels = planes.reshape(len(planes), -1)
     num = np.zeros((len(planes), params.ring_count))
-    workers = min(_WORKERS, -(-len(planes) // _BLOCK))
+    workers = _block_workers(len(planes))
     # every worker's block buffer in one array, allocated here: each sits at
     # the same alignment, so the products repeat exactly in any worker
     bufs = np.empty((workers, min(_BLOCK, len(planes)), len(flat)))
     # the deviation runs row by row, so nmax - r needs one row per worker
     spans = np.empty((workers, len(flat)))
 
-    def work(w: int) -> None:
-        for start in range(w * _BLOCK, len(planes), workers * _BLOCK):
-            block = pixels[start : start + _BLOCK]
-            # flat is in range; mode="clip" skips the buffered, bounds-checked copy
-            dev = np.take(block, flat, axis=1, out=bufs[w, : len(block)], mode="clip")
-            for row in dev:
-                np.subtract(nmax, row, out=spans[w])
-                np.subtract(row, nmin, out=row)
-                np.maximum(spans[w], row, out=row)
-            np.multiply(dev, inv_t, out=dev)
-            np.arctan(dev, out=dev)
-            sums = num[start : start + len(block)]
-            for n, a, b in runs:
-                sums[:, n] += dev[:, a:b] @ t[a:b]
+    def work(w: int, start: int) -> None:
+        block = pixels[start : start + _BLOCK]
+        # flat is in range; mode="clip" skips the buffered, bounds-checked copy
+        dev = np.take(block, flat, axis=1, out=bufs[w, : len(block)], mode="clip")
+        for row in dev:
+            np.subtract(nmax, row, out=spans[w])
+            np.subtract(row, nmin, out=row)
+            np.maximum(spans[w], row, out=row)
+        np.multiply(dev, inv_t, out=dev)
+        np.arctan(dev, out=dev)
+        sums = num[start : start + len(block)]
+        for n, a, b in runs:
+            sums[:, n] += dev[:, a:b] @ t[a:b]
 
-    if workers == 1:
-        work(0)
-    else:
-        # imported only here: a process that never starts the pool does not load it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(work, range(workers)))
+    _run_blocks(len(planes), workers, work)
     den = np.array([t[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
     v = np.zeros_like(num)
     np.divide(num, den, out=v, where=den > 0)

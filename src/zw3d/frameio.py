@@ -9,18 +9,25 @@ frame-major, as the distinct picked source frames plus a slot-to-plane map,
 so a short clip is resampled (and later scored) once per source frame, not
 once per slot. The spatial resampling (bilinear resize, then a 3x3 Gaussian)
 is one linear operator per axis, cached per source side as bands of rows cut
-to their nonzero columns, and applied to each distinct picked frame as one
-small product per band and axis, each short enough to stay on one OpenBLAS
-thread. ``normalize_clip`` clips each output band to [0, 1] as it is written
-and hands the planes to ``NormalizedClip`` through a trusted constructor that
-skips the field checks; a clip built by hand is checked in full.
+to their nonzero columns, and applied as small products per band and axis,
+each short enough to stay on one OpenBLAS thread. The distinct picked frames
+go in blocks of 8 (``_BLOCK``), handed round-robin to up to two threads
+(``_WORKERS``, ``_run_blocks``), the same hand-out ``features.extract_feature``
+uses; a y-band is one stacked product over a whole block, so the threads make
+few, long calls rather than many short ones that would trade the interpreter
+lock back and forth. ``normalize_clip`` clips each output band to [0, 1] as it
+is written and hands the planes to ``NormalizedClip`` through a trusted
+constructor that skips the field checks; a clip built by hand is checked in
+full.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +50,10 @@ _FRAME_RE = re.compile(r"frame_(\d{6})\.(pgm|ppm)$")
 # 1,024,000 at 1.94. After a multi-threaded call OpenBLAS's idle worker spins
 # on a CPU for ~0.1 s, which the extraction that follows would have to share.
 _BAND = 32
+# planes per pass of normalize_clip and of extract_feature's per-pixel stages
+_BLOCK = 8
+# threads that the blocks are handed to: the usable CPUs, at most 2
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 class FrameFormatError(ValueError):
@@ -345,6 +356,31 @@ def _operator_bands(n_src: int) -> tuple[tuple[int, int, int, int, np.ndarray], 
     return tuple(bands)
 
 
+def _block_workers(count: int) -> int:
+    """Threads for ``count`` planes: one per block of ``_BLOCK``, at most ``_WORKERS``."""
+    return min(_WORKERS, -(-count // _BLOCK))
+
+
+def _run_blocks(count: int, workers: int, block: Callable[[int, int], None]) -> None:
+    """Call ``block(w, start)`` for every block ``start`` in
+    ``range(0, count, _BLOCK)``, the blocks round-robin over ``workers``
+    threads (worker ``w`` takes blocks w, w + workers, ...). One worker runs
+    inline. The caller allocates every buffer and gives each worker its own,
+    so a block's arithmetic is the same whichever worker runs it."""
+    def work(w: int) -> None:
+        for start in range(w * _BLOCK, count, workers * _BLOCK):
+            block(w, start)
+
+    if workers == 1:
+        work(0)
+    else:
+        # imported only here: a process that never starts the pool does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(work, range(workers)))
+
+
 def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     """Resample a FrameSequence to 100 slots of 320x320 luminance.
 
@@ -357,25 +393,39 @@ def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     (the Gaussian's times ``bilinear_matrix``), and each distinct picked frame
     is ``m_y @ plane @ m_x.T``. Each operator is nonzero only near its
     diagonal, so it is cached per source side as bands of rows cut to their
-    nonzero columns (``_operator_bands``), and a plane costs one band product
-    per x-band into a ``(h, 320)`` scratch, then one per y-band written
-    straight into its own contiguous plane and clipped to [0, 1] while it is
-    still in cache; the slots that repeat a frame share its plane through
-    ``picks``. For sides up to 320 every band product stays on one OpenBLAS
-    thread; larger sides give the same planes but may use BLAS threads. Only
-    one source plane is converted at a time.
+    nonzero columns (``_operator_bands``). The distinct frames go in blocks of
+    ``_BLOCK`` round-robin to ``_WORKERS`` threads (``_run_blocks``). A worker
+    converts one frame of its block at a time (a gray one into its ``(h, w)``
+    scratch) and runs one product per x-band into its ``(_BLOCK, h, 320)``
+    scratch; then each y-band is one stacked product over the block, written
+    straight into those rows of the block's contiguous planes and clipped to
+    [0, 1] while still in cache. The stacked product is one gemm per plane,
+    the same as a single plane's, so the planes do not depend on the worker
+    count. The slots that repeat a frame share its plane through ``picks``.
+    For sides up to 320 every band product stays on one OpenBLAS thread;
+    larger sides give the same planes but may use BLAS threads.
     """
-    y_bands, x_bands = _operator_bands(seq.height), _operator_bands(seq.width)
+    h, w = seq.height, seq.width
+    y_bands, x_bands = _operator_bands(h), _operator_bands(w)
     sources, picks = np.unique(temporal_indices(len(seq)), return_inverse=True)
     planes = np.empty((len(sources), VOLUME_SIZE, VOLUME_SIZE), dtype=np.float64)
-    tmp = np.empty((seq.height, VOLUME_SIZE), dtype=np.float64)
-    for out, k in zip(planes, sources):
-        frame = seq.frames[k]
-        plane = to_luminance(frame) if frame.ndim == 3 else frame.astype(np.float64) / 255.0
-        for r0, r1, c0, c1, block in x_bands:
-            np.matmul(plane[:, c0:c1], block.T, out=tmp[:, r0:r1])
-        for r0, r1, c0, c1, block in y_bands:
-            band = out[r0:r1]
-            np.matmul(block, tmp[c0:c1], out=band)
-            np.clip(band, 0.0, 1.0, out=band)
+    workers = _block_workers(len(sources))
+    src = np.empty((workers, h, w), dtype=np.float64)
+    tmp = np.empty((workers, min(_BLOCK, len(sources)), h, VOLUME_SIZE), dtype=np.float64)
+
+    def block(wk: int, start: int) -> None:
+        ks = sources[start : start + _BLOCK]
+        xs = tmp[wk, : len(ks)]
+        for k, x in zip(ks, xs):
+            frame = seq.frames[k]
+            plane = to_luminance(frame) if frame.ndim == 3 else np.divide(frame, 255.0, out=src[wk])
+            for r0, r1, c0, c1, band in x_bands:
+                np.matmul(plane[:, c0:c1], band.T, out=x[:, r0:r1])
+        out = planes[start : start + len(ks)]
+        for r0, r1, c0, c1, band in y_bands:
+            rows = out[:, r0:r1]
+            np.matmul(band, xs[:, c0:c1], out=rows)
+            np.clip(rows, 0.0, 1.0, out=rows)
+
+    _run_blocks(len(sources), workers, block)
     return NormalizedClip._trusted(planes, picks)

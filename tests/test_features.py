@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zw3d import features
+from zw3d import frameio
 from zw3d.features import (
     DISCARD,
     DEFAULT_PARAMS,
@@ -316,7 +316,7 @@ def test_plane_blocks_match_brute_force_for_any_worker_count(case):
     expected, degenerate = brute_extract(np.moveaxis(planes[picks], 0, -1), params)
     values = {}
     for workers in (1, 2):
-        with mock.patch.object(features, "_WORKERS", workers):
+        with mock.patch.object(frameio, "_WORKERS", workers):
             values[workers] = extract_feature(clip, params).values
     assert values[1].tobytes() == values[2].tobytes()
     assert (not values[1].any()) == degenerate
@@ -328,13 +328,13 @@ def test_worker_threads_share_no_buffer():
     # computed in another worker's buffers, or a lost write to the shared
     # centroid rows, changes the bits
     vol = rand_volume(np.random.default_rng(15), MANY_FRAMES)  # 37 planes: 5 blocks of 8
-    with mock.patch.object(features, "_WORKERS", 1):
+    with mock.patch.object(frameio, "_WORKERS", 1):
         expected = extract_feature(vol, MANY_FRAMES).values.tobytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (2, 3, 5):
-            with mock.patch.object(features, "_WORKERS", workers):
+            with mock.patch.object(frameio, "_WORKERS", workers):
                 for _ in range(10):
                     assert extract_feature(vol, MANY_FRAMES).values.tobytes() == expected
     finally:

@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -309,6 +313,64 @@ def test_band_products_stay_within_one_blas_thread():
     for n in range(1, 321):
         for r0, r1, c0, c1, _ in frameio._operator_bands(n):
             assert 320 * (c1 - c0) * (r1 - r0) <= 983_040, (n, r0)
+
+
+# normalize_clip hands blocks of _BLOCK source frames round-robin to the
+# workers; each block's products are the same whichever worker runs them
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(n=st.integers(1, 40), h=st.integers(1, 200), w=st.integers(1, 200),
+       colour=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_planes_do_not_depend_on_the_worker_count(n, h, w, colour, seed):
+    rng = np.random.default_rng(seed)
+    frames = [rng.integers(0, 256, size=(h, w, 3) if colour else (h, w), dtype=np.uint8) for _ in range(n)]
+    clips = {}
+    for workers in (1, 2, 3):
+        with mock.patch.object(frameio, "_WORKERS", workers):
+            clips[workers] = normalize_clip(make_seq(frames))
+    for workers in (2, 3):
+        assert clips[workers].planes.tobytes() == clips[1].planes.tobytes()
+        assert clips[workers].picks.tobytes() == clips[1].picks.tobytes()
+    m_y, m_x = _dense_operator(h), _dense_operator(w)
+    expected = {k: np.clip(m_y @ (to_luminance(frames[k]) if colour else frames[k] / 255.0) @ m_x.T, 0.0, 1.0)
+                for k in np.unique(temporal_indices(n))}
+    for slot, k in enumerate(temporal_indices(n)):
+        assert np.abs(clips[1].planes[clips[1].picks[slot]] - expected[k]).max() <= 1e-13
+
+
+def test_normalize_workers_share_no_buffer():
+    # more workers than CPUs, and a thread switch every microsecond: a block
+    # resampled in another worker's scratch changes the bytes
+    rng = np.random.default_rng(16)
+    seq = make_seq([rng.integers(0, 256, size=(41, 57), dtype=np.uint8) for _ in range(37)])  # 5 blocks
+    with mock.patch.object(frameio, "_WORKERS", 1):
+        expected = normalize_clip(seq).planes.tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 5):
+            with mock.patch.object(frameio, "_WORKERS", workers):
+                for _ in range(10):
+                    assert normalize_clip(seq).planes.tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_normalize_scratch_does_not_scale_with_the_block():
+    # each worker holds one (h, w) source plane and one (_BLOCK, h, 320)
+    # x-stage scratch; a source buffer of block x h x w would exceed the bound
+    h, w, n = 1080, 1920, 4
+    seq = make_seq([np.full((h, w), 17 * k, dtype=np.uint8) for k in range(n)])
+    frameio._operator_bands(h), frameio._operator_bands(w)  # cached per side, built outside the trace
+    tracemalloc.start()
+    try:
+        clip = normalize_clip(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = frameio._block_workers(n) * (h * w + frameio._BLOCK * h * 320) * 8
+    per_plane = 2 * h * w * 8  # room for two float64 temporaries of one frame
+    assert peak <= clip.planes.nbytes + scratch + per_plane
 
 
 # normalize_clip builds its clip through the trusted constructor, which skips
