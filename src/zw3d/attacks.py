@@ -11,21 +11,24 @@ Geometric families change frame size (rs, cr) or count (fd); everything else
 preserves shape. Ops work on whole frames, gray ``(h, w)`` or colour
 ``(h, w, 3)`` alike; the arithmetic ones see a colour frame as three
 contiguous float64 planes ``(3, h, w)``, while the median filter (mf) selects
-on the uint8 frame itself, each colour plane apart. The stochastic families
-(gn, fr, fd) require a seed and are bit-reproducible under it.
+on the uint8 frame itself, each colour plane apart. The Gaussian blur (gb)
+and average filter (af) are separable and linear: each is one banded
+operator product per axis with replicate borders (``_filter_bands``). The
+stochastic families (gn, fr, fd) require a seed and are bit-reproducible
+under it. The module needs numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
-from .frameio import FrameSequence, bilinear_matrix
+from .frameio import _BAND, FrameSequence, bilinear_matrix
 
 # ---------------------------------------------------------------------------
 # per-frame transforms
@@ -47,9 +50,45 @@ def _planes(fn, frame, value):
     return np.ascontiguousarray(_u8(fn(x, value)).transpose(1, 2, 0))
 
 
-def _window(x: np.ndarray, w: int) -> tuple:
-    """A w x w filter footprint that leaves a leading colour axis alone."""
-    return (1,) * (x.ndim - 2) + (w, w)
+@functools.cache
+def _filter_bands(n: int, taps: tuple[float, ...], transposed: bool = False) -> tuple:
+    """Correlation with the odd-length kernel ``taps`` along a side-``n`` axis,
+    replicate borders (``ndimage``'s "nearest"), as bands of ``_BAND`` output
+    rows: ``(r0, r1, c0, c1, block)`` where output row ``i`` in ``r0:r1`` is
+    ``block[i - r0] @ x[c0:c1]``, i.e. ``sum(taps[t] * x[clip(i + t - r)])``
+    with ``r = len(taps) // 2``. A band spans at most ``_BAND + 2r`` source
+    rows, and the taps are written into it directly, so no n x n operator is
+    made. With ``transposed`` each block is kept as its C-contiguous
+    transpose, the right-hand factor of a product along x (BLAS runs that
+    faster than a transposed view). Cached per side and kernel, read-only."""
+    r = len(taps) // 2
+    bands = []
+    for r0 in range(0, n, _BAND):
+        r1 = min(r0 + _BAND, n)
+        c0, c1 = max(r0 - r, 0), min(r1 + r, n)
+        rows = np.arange(r0, r1)
+        block = np.zeros((r1 - r0, c1 - c0), dtype=np.float64)
+        for t, weight in enumerate(taps):  # one entry per row and tap: no repeats within a tap
+            block[rows - r0, np.clip(rows + t - r, 0, n - 1) - c0] += weight
+        if transposed:
+            block = np.ascontiguousarray(block.T)
+        block.flags.writeable = False
+        bands.append((r0, r1, c0, c1, block))
+    return tuple(bands)
+
+
+def _separable(x: np.ndarray, taps: tuple[float, ...]) -> np.ndarray:
+    """``taps`` correlated along y, then along x, over the planes ``(h, w)`` or
+    ``(3, h, w)``: one band product per y-band, then one per x-band. Up to
+    side 320 every product stays on one OpenBLAS thread (see ``_BAND``)."""
+    h, w = x.shape[-2:]
+    t = np.empty_like(x)
+    for r0, r1, c0, c1, band in _filter_bands(h, taps):
+        np.matmul(band, x[..., c0:c1, :], out=t[..., r0:r1, :])
+    out = np.empty_like(x)
+    for r0, r1, c0, c1, band_t in _filter_bands(w, taps, transposed=True):
+        np.matmul(t[..., c0:c1], band_t, out=out[..., r0:r1])
+    return out
 
 
 def _median(frame, window, buf=None):
@@ -89,11 +128,16 @@ def _median_buffer(frame, window):
 
 
 def _blur(x, window, sigma=1.0):
+    """Gaussian blur: the normalized ``window``-tap Gaussian along each axis."""
     t = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
     k = np.exp(-(t * t) / (2.0 * sigma * sigma))
     k /= k.sum()
-    return ndimage.correlate1d(ndimage.correlate1d(x, k, axis=-2, mode="nearest"),
-                               k, axis=-1, mode="nearest")
+    return _separable(x, tuple(k.tolist()))
+
+
+def _average(x, window):
+    """Average filter: the ``window``-tap mean along each axis."""
+    return _separable(x, (1.0 / window,) * window)
 
 
 def _logo(frame, size):
@@ -222,8 +266,7 @@ class Family(NamedTuple):
 FAMILY_PARAMS = {
     # Gaussian blur (variance 1), average and median filters over a w x w window
     "gb": Family("window", "window side in pixels", {9: "9", 15: "15"}, _pixels(_blur)),
-    "af": Family("window", "window side in pixels", {9: "9", 15: "15"}, _pixels(
-        lambda x, w: ndimage.uniform_filter(x, size=_window(x, w), mode="nearest"))),
+    "af": Family("window", "window side in pixels", {9: "9", 15: "15"}, _pixels(_average)),
     "mf": Family("window", "window side in pixels", {9: "9", 15: "15"},
                  _each(_median, _median_buffer)),
     # contrast change around mid-gray 128, and multiplicative brightness gain

@@ -1,4 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,6 @@ from zw3d.attacks import (
     AttackSpec,
     _median,
     _planes,
-    _window,
     apply_attack,
     attack_catalog,
 )
@@ -229,6 +233,11 @@ def test_median_filter_kills_salt():
     assert out.frames[0][10, 10] == 0
 
 
+def _window(x, w):
+    """A w x w ``ndimage`` footprint that leaves a leading colour axis alone."""
+    return (1,) * (x.ndim - 2) + (w, w)
+
+
 def ndimage_median(frame, window):
     """The float64-plane ``ndimage`` median filter that ``_median`` replaced."""
     return _planes(lambda x, w: ndimage.median_filter(x, size=_window(x, w), mode="nearest"),
@@ -262,6 +271,61 @@ def test_median_across_bands():
     assert -(-200 // (_WINDOWS // 300)) == 4
     for window in (9, 15):
         np.testing.assert_array_equal(_median(frame, window), ndimage_median(frame, window))
+
+
+# -- gb and af against the ndimage filters they replaced ------------------------------
+
+def ndimage_blur(x, window, sigma=1.0):
+    t = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    k /= k.sum()
+    return ndimage.correlate1d(ndimage.correlate1d(x, k, axis=-2, mode="nearest"),
+                               k, axis=-1, mode="nearest")
+
+
+def ndimage_average(x, window):
+    return ndimage.uniform_filter(x, size=_window(x, window), mode="nearest")
+
+
+@st.composite
+def filter_frames(draw):
+    """Gray or colour uint8 frames, sides 1..60 (many below the 9 and 15
+    windows), over the full range or over 0 and 255 only."""
+    shape = (draw(st.integers(1, 60)), draw(st.integers(1, 60))) + draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
+    return (rng.integers(0, 2, size=shape) * 255).astype(np.uint8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(frame=filter_frames())
+def test_blur_and_average_equal_ndimage(frame):
+    seq = FrameSequence([frame], "2d")
+    for window in (9, 15):
+        for family, reference in (("gb", ndimage_blur), ("af", ndimage_average)):
+            out = apply_attack(seq, AttackSpec(family, {"window": window})).frames[0]
+            np.testing.assert_array_equal(out, _planes(reference, frame, window))
+
+
+def test_attacks_run_without_scipy():
+    # a fresh process: importing the package and running gb and af loads no scipy
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import zw3d, zw3d.cli
+        from zw3d import AttackSpec, apply_attack
+        from zw3d.frameio import FrameSequence
+        rng = np.random.default_rng(0)
+        for shape in ((12, 10), (7, 11, 3)):
+            seq = FrameSequence([rng.integers(0, 256, size=shape, dtype=np.uint8)] * 2, "2d")
+            for spec in (AttackSpec("gb", {"window": 9}), AttackSpec("af", {"window": 15})):
+                assert apply_attack(seq, spec).frames[0].shape == shape
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_color_frames_pass_through_families():

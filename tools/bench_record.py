@@ -6,7 +6,8 @@ and run length that the checkout's ``BENCHMARK.json`` declares, and keeps
 the JSON object that each run prints as its last line.  The file holds, per workload and
 trace mode, every metric's median, quartiles and per-seed values, whether
 every run was correct, and the machine the runs were made on: CPU count and
-model, Python, numpy and scipy versions, and the checkout's git sha.
+model, Python, numpy and scipy versions (scipy only serves the tests, so it
+reads null where it is not installed), and the checkout's git sha.
 
     python3 tools/bench_record.py                      # this checkout
     python3 tools/bench_record.py --checkout ../other  # another checkout
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -38,7 +40,6 @@ import sys
 from pathlib import Path
 
 import numpy
-import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
@@ -68,7 +69,15 @@ def machine() -> dict:
                 model = line.split(":", 1)[1].strip()
                 break
     return {"nproc": os.cpu_count(), "cpu_model": model, "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__}
+            "numpy": numpy.__version__, "scipy": installed("scipy")}
+
+
+def installed(package: str) -> str | None:
+    """The installed version of ``package``, or None."""
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
