@@ -12,15 +12,15 @@ preserves shape. Ops work on whole frames, gray ``(h, w)`` or colour
 ``(h, w, 3)`` alike; the arithmetic ones see a colour frame as three
 contiguous float64 planes ``(3, h, w)``, while the median filter (mf) selects
 on the uint8 frame itself, each colour plane apart. The Gaussian blur (gb)
-and average filter (af) are separable and linear: each is one banded
-operator product per axis with replicate borders (``_filter_bands``). The
+and average filter (af) are separable and linear: each is one product per
+band and axis with replicate borders, over the bands that
+``frameio._operator_bands`` builds for ``normalize_clip`` too. The
 stochastic families (gn, fr, fd) require a seed and are bit-reproducible
 under it. The module needs numpy only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .frameio import _BAND, FrameSequence, bilinear_matrix
+from .frameio import FrameSequence, _operator_bands, bilinear_matrix
 
 # ---------------------------------------------------------------------------
 # per-frame transforms
@@ -50,43 +50,16 @@ def _planes(fn, frame, value):
     return np.ascontiguousarray(_u8(fn(x, value)).transpose(1, 2, 0))
 
 
-@functools.cache
-def _filter_bands(n: int, taps: tuple[float, ...], transposed: bool = False) -> tuple:
-    """Correlation with the odd-length kernel ``taps`` along a side-``n`` axis,
-    replicate borders (``ndimage``'s "nearest"), as bands of ``_BAND`` output
-    rows: ``(r0, r1, c0, c1, block)`` where output row ``i`` in ``r0:r1`` is
-    ``block[i - r0] @ x[c0:c1]``, i.e. ``sum(taps[t] * x[clip(i + t - r)])``
-    with ``r = len(taps) // 2``. A band spans at most ``_BAND + 2r`` source
-    rows, and the taps are written into it directly, so no n x n operator is
-    made. With ``transposed`` each block is kept as its C-contiguous
-    transpose, the right-hand factor of a product along x (BLAS runs that
-    faster than a transposed view). Cached per side and kernel, read-only."""
-    r = len(taps) // 2
-    bands = []
-    for r0 in range(0, n, _BAND):
-        r1 = min(r0 + _BAND, n)
-        c0, c1 = max(r0 - r, 0), min(r1 + r, n)
-        rows = np.arange(r0, r1)
-        block = np.zeros((r1 - r0, c1 - c0), dtype=np.float64)
-        for t, weight in enumerate(taps):  # one entry per row and tap: no repeats within a tap
-            block[rows - r0, np.clip(rows + t - r, 0, n - 1) - c0] += weight
-        if transposed:
-            block = np.ascontiguousarray(block.T)
-        block.flags.writeable = False
-        bands.append((r0, r1, c0, c1, block))
-    return tuple(bands)
-
-
 def _separable(x: np.ndarray, taps: tuple[float, ...]) -> np.ndarray:
     """``taps`` correlated along y, then along x, over the planes ``(h, w)`` or
-    ``(3, h, w)``: one band product per y-band, then one per x-band. Up to
-    side 320 every product stays on one OpenBLAS thread (see ``_BAND``)."""
+    ``(3, h, w)``: one product per band of ``_operator_bands`` and axis. Up to
+    side 320 every product stays on one OpenBLAS thread."""
     h, w = x.shape[-2:]
     t = np.empty_like(x)
-    for r0, r1, c0, c1, band in _filter_bands(h, taps):
+    for r0, r1, c0, c1, band, _ in _operator_bands(h, h, taps):
         np.matmul(band, x[..., c0:c1, :], out=t[..., r0:r1, :])
     out = np.empty_like(x)
-    for r0, r1, c0, c1, band_t in _filter_bands(w, taps, transposed=True):
+    for r0, r1, c0, c1, _, band_t in _operator_bands(w, w, taps):
         np.matmul(t[..., c0:c1], band_t, out=out[..., r0:r1])
     return out
 

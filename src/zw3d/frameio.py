@@ -8,10 +8,12 @@ of the pipeline never sees the source geometry. The clip is stored
 frame-major, as the distinct picked source frames plus a slot-to-plane map,
 so a short clip is resampled (and later scored) once per source frame, not
 once per slot. The spatial resampling (bilinear resize, then a 3x3 Gaussian)
-is one linear operator per axis, cached per source side as bands of rows cut
-to their nonzero columns, and applied as small products per band and axis,
-each short enough to stay on one OpenBLAS thread. The distinct picked frames
-go in blocks of 8 (``_BLOCK``), handed round-robin to up to two threads
+is one linear operator per axis, applied as small products per band and axis,
+each short enough to stay on one OpenBLAS thread. ``_operator_bands`` is the
+one builder of such banded operators, for this resampling and for the
+``gb``/``af`` attack filters alike: it cuts an operator into bands of rows
+restricted to their nonzero columns and caches them. The distinct picked
+frames go in blocks of 8 (``_BLOCK``), handed round-robin to up to two threads
 (``_WORKERS``, ``_run_blocks``), the same hand-out ``features.extract_feature``
 uses; a y-band is one stacked product over a whole block, so the threads make
 few, long calls rather than many short ones that would trade the interpreter
@@ -43,12 +45,20 @@ LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 _FRAME_RE = re.compile(r"frame_(\d{6})\.(pgm|ppm)$")
 
-# output rows per band of a resampling operator. A band of a side-n operator
-# (n <= 320) spans at most 35 source columns, so a band product is at most
-# 32 x 35 x 320 = 358,400 multiply-adds and stays on one OpenBLAS thread: on a
-# 2-vCPU VM (OpenBLAS 0.3.31) products up to 983,040 ran at CPU/wall 1.00 and
-# 1,024,000 at 1.94. After a multi-threaded call OpenBLAS's idle worker spins
-# on a CPU for ~0.1 s, which the extraction that follows would have to share.
+# normalize_clip's smoothing, the 1-D factor of a 3x3 Gaussian of sigma 0.5:
+# the taps w, 1, w over their sum, added as (w + 1) + w. Over 2w + 1, which
+# rounds differently, they would move the planes by an ulp.
+_GAUSSIAN3_W = math.exp(-1.0 / (2.0 * 0.5 * 0.5))
+_GAUSSIAN3 = tuple(t / (_GAUSSIAN3_W + 1.0 + _GAUSSIAN3_W) for t in (_GAUSSIAN3_W, 1.0, _GAUSSIAN3_W))
+
+# output rows per band of an ``_operator_bands`` operator. A band of a
+# resampling operator from side n <= 320 spans at most 35 source columns, and
+# one of a w-tap filter (w <= 15) at most 32 + w - 1 = 46, so a band product
+# against a side of 320 is at most 32 x 46 x 320 = 471,040 multiply-adds and
+# stays on one OpenBLAS thread: on a 2-vCPU VM (OpenBLAS 0.3.31) products up
+# to 983,040 ran at CPU/wall 1.00 and 1,024,000 at 1.94. After a
+# multi-threaded call OpenBLAS's idle worker spins on a CPU for ~0.1 s, which
+# the extraction that follows would have to share.
 _BAND = 32
 # planes per pass of normalize_clip and of extract_feature's per-pixel stages
 _BLOCK = 8
@@ -320,39 +330,42 @@ def bilinear_matrix(n_src: int, n_dst: int) -> np.ndarray:
     return m
 
 
-def _gaussian3_matrix(n: int, sigma: float = 0.5) -> np.ndarray:
-    """(n, n) operator of the 1-D factor of the 3x3 Gaussian, replicate borders."""
-    w = math.exp(-1.0 / (2.0 * sigma * sigma))
-    k = np.array([w, 1.0, w], dtype=np.float64)
-    k /= k.sum()
-    g = np.zeros((n, n), dtype=np.float64)
-    rows = np.arange(n)
-    for offset, weight in zip((-1, 0, 1), k):
-        g[rows, np.clip(rows + offset, 0, n - 1)] += weight
-    return g
-
-
 def temporal_indices(n_src: int, n_dst: int = VOLUME_FRAMES) -> np.ndarray:
     """Nearest-index temporal resampling map (0-based source index per slot)."""
     return (np.arange(n_dst, dtype=np.intp) * n_src) // n_dst
 
 
 @functools.cache
-def _operator_bands(n_src: int) -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
-    """The side-``n_src`` axis operator, 3x3 Gaussian times
-    ``bilinear_matrix(n_src, 320)``, cut into bands of ``_BAND`` rows:
-    ``(r0, r1, c0, c1, block)`` with ``block = m[r0:r1, c0:c1]`` and ``c0:c1``
-    spanning every nonzero column of those rows. Cached per side and
-    read-only, since every clip of that side shares them."""
-    m = _gaussian3_matrix(VOLUME_SIZE) @ bilinear_matrix(n_src, VOLUME_SIZE)
+def _operator_bands(n_src: int, n_dst: int, taps: tuple[float, ...]) -> tuple:
+    """Bands of the axis operator from side ``n_src`` to ``n_dst``: a
+    ``bilinear_matrix`` resize (only when the sides differ), then correlation
+    with the odd-length kernel ``taps`` under replicate borders, output row
+    ``i`` being ``sum(taps[t] * x[clip(i + t - r)])`` with ``r = len(taps) // 2``,
+    the taps added in tap order.
+
+    The bands are ``(r0, r1, c0, c1, block, block_t)`` per ``_BAND`` rows:
+    ``block = m[r0:r1, c0:c1]`` with ``c0:c1`` spanning every nonzero column
+    of those rows, and ``block_t`` its C-contiguous transpose, the right-hand
+    factor of a product along x (BLAS runs that faster than the view
+    ``block.T``). This is the one builder of banded operators:
+    ``normalize_clip``'s resampling and the ``gb``/``af`` filters
+    (``attacks._separable``) read its bands. Cached per sides and taps,
+    read-only, since every frame of those sides shares them."""
+    r, rows = len(taps) // 2, np.arange(n_dst)
+    m = np.zeros((n_dst, n_dst), dtype=np.float64)
+    for t, weight in enumerate(taps):  # one entry per row and tap: no repeats within a tap
+        m[rows, np.clip(rows + t - r, 0, n_dst - 1)] += weight
+    if n_src != n_dst:
+        m = m @ bilinear_matrix(n_src, n_dst)
     bands = []
-    for r0 in range(0, VOLUME_SIZE, _BAND):
-        r1 = min(r0 + _BAND, VOLUME_SIZE)
+    for r0 in range(0, n_dst, _BAND):
+        r1 = min(r0 + _BAND, n_dst)
         cols = np.flatnonzero(m[r0:r1].any(axis=0))
         c0, c1 = int(cols[0]), int(cols[-1]) + 1
         block = m[r0:r1, c0:c1].copy()
-        block.flags.writeable = False
-        bands.append((r0, r1, c0, c1, block))
+        block_t = np.ascontiguousarray(block.T)
+        block.flags.writeable = block_t.flags.writeable = False
+        bands.append((r0, r1, c0, c1, block, block_t))
     return tuple(bands)
 
 
@@ -392,8 +405,11 @@ def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     Resize and Gaussian are linear and separable, so each axis is one matrix
     (the Gaussian's times ``bilinear_matrix``), and each distinct picked frame
     is ``m_y @ plane @ m_x.T``. Each operator is nonzero only near its
-    diagonal, so it is cached per source side as bands of rows cut to their
-    nonzero columns (``_operator_bands``). The distinct frames go in blocks of
+    diagonal; ``_operator_bands`` caches it per source side as bands. The
+    x-pass multiplies by the view ``band.T``, not ``block_t``: for short
+    frames (1-37 rows with OpenBLAS 0.3.31's Haswell kernels) BLAS's
+    small-matrix kernels round the two differently, and the planes would move
+    by an ulp. The distinct frames go in blocks of
     ``_BLOCK`` round-robin to ``_WORKERS`` threads (``_run_blocks``). A worker
     converts one frame of its block at a time (a gray one into its ``(h, w)``
     scratch) and runs one product per x-band into its ``(_BLOCK, h, 320)``
@@ -406,7 +422,8 @@ def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     larger sides give the same planes but may use BLAS threads.
     """
     h, w = seq.height, seq.width
-    y_bands, x_bands = _operator_bands(h), _operator_bands(w)
+    y_bands = _operator_bands(h, VOLUME_SIZE, _GAUSSIAN3)
+    x_bands = _operator_bands(w, VOLUME_SIZE, _GAUSSIAN3)
     sources, picks = np.unique(temporal_indices(len(seq)), return_inverse=True)
     planes = np.empty((len(sources), VOLUME_SIZE, VOLUME_SIZE), dtype=np.float64)
     workers = _block_workers(len(sources))
@@ -419,10 +436,10 @@ def normalize_clip(seq: FrameSequence) -> NormalizedClip:
         for k, x in zip(ks, xs):
             frame = seq.frames[k]
             plane = to_luminance(frame) if frame.ndim == 3 else np.divide(frame, 255.0, out=src[wk])
-            for r0, r1, c0, c1, band in x_bands:
+            for r0, r1, c0, c1, band, _ in x_bands:
                 np.matmul(plane[:, c0:c1], band.T, out=x[:, r0:r1])
         out = planes[start : start + len(ks)]
-        for r0, r1, c0, c1, band in y_bands:
+        for r0, r1, c0, c1, band, _ in y_bands:
             rows = out[:, r0:r1]
             np.matmul(band, xs[:, c0:c1], out=rows)
             np.clip(rows, 0.0, 1.0, out=rows)

@@ -143,6 +143,17 @@ def brute_resample(plane, size, smooth, sigma=0.5):
     return np.array(smoothed)
 
 
+def filter_taps(family, window):
+    """The 1-D kernel of the ``gb`` (Gaussian, variance 1) or ``af`` (mean)
+    attack of a window, as the taps its banded operator is built from."""
+    if family == "af":
+        return (1.0 / window,) * window
+    t = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    k = np.exp(-(t * t) / 2.0)
+    k /= k.sum()
+    return tuple(k.tolist())
+
+
 def brute_distance(a, b):
     diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     return float(np.dot(diff, diff)) / len(diff)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import filter_taps
 from scipy import ndimage
 
 from zw3d.attacks import (
@@ -21,7 +22,7 @@ from zw3d.attacks import (
     apply_attack,
     attack_catalog,
 )
-from zw3d.frameio import FrameSequence
+from zw3d.frameio import _BAND, FrameSequence, _operator_bands
 
 
 def make_seq(rng, n=20, size=64):
@@ -306,6 +307,35 @@ def test_blur_and_average_equal_ndimage(frame):
         for family, reference in (("gb", ndimage_blur), ("af", ndimage_average)):
             out = apply_attack(seq, AttackSpec(family, {"window": window})).frames[0]
             np.testing.assert_array_equal(out, _planes(reference, frame, window))
+
+
+def tap_bands(n, taps):
+    """Bands of correlation with ``taps`` along a side-``n`` axis, replicate
+    borders, each band of ``_BAND`` rows cut to the source rows its taps
+    reach and written tap by tap, with no n x n matrix."""
+    r = len(taps) // 2
+    for r0 in range(0, n, _BAND):
+        r1 = min(r0 + _BAND, n)
+        c0, c1 = max(r0 - r, 0), min(r1 + r, n)
+        rows = np.arange(r0, r1)
+        block = np.zeros((r1 - r0, c1 - c0), dtype=np.float64)
+        for t, weight in enumerate(taps):
+            block[rows - r0, np.clip(rows + t - r, 0, n - 1) - c0] += weight
+        yield r0, r1, c0, c1, block
+
+
+@pytest.mark.parametrize("window", [9, 15])
+@pytest.mark.parametrize("family", ["gb", "af"])
+def test_filter_bands_equal_the_tap_written_bands(family, window):
+    taps = filter_taps(family, window)
+    for n in [*range(1, 61), 96, 128, 320]:
+        got = _operator_bands(n, n, taps)
+        want = list(tap_bands(n, taps))
+        assert len(got) == len(want), n
+        for (r0, r1, c0, c1, block, block_t), (*spans, ref) in zip(got, want):
+            assert [r0, r1, c0, c1] == spans, n
+            assert block.shape == ref.shape and (block == ref).all(), (n, r0)
+            assert block_t.flags.c_contiguous and (block_t == ref.T).all(), (n, r0)
 
 
 def test_attacks_run_without_scipy():

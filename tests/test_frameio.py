@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from unittest import mock
@@ -24,7 +25,7 @@ from zw3d.frameio import (
     write_pbm,
 )
 
-from oracle import brute_resample
+from oracle import brute_resample, filter_taps
 
 
 def make_seq(frames, role="2d"):
@@ -282,10 +283,19 @@ def test_every_slot_holds_its_picked_frame_resampled(brute_bases, kind, n):
 
 
 # normalize_clip applies each axis operator as cached bands of rows cut to
-# their nonzero columns; the result must be the clipped dense product
+# their nonzero columns; the result must be the clipped dense product. The
+# reference builds its own 3-tap Gaussian (sigma 0.5, replicate borders), so a
+# production kernel that rounds differently fails the band comparison.
 
 def _dense_operator(n):
-    return frameio._gaussian3_matrix(320) @ bilinear_matrix(n, 320)
+    w = math.exp(-1.0 / (2.0 * 0.5 * 0.5))
+    k = np.array([w, 1.0, w], dtype=np.float64)
+    k /= k.sum()
+    g = np.zeros((320, 320), dtype=np.float64)
+    rows = np.arange(320)
+    for offset, weight in zip((-1, 0, 1), k):
+        g[rows, np.clip(rows + offset, 0, 319)] += weight
+    return g @ bilinear_matrix(n, 320)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -299,8 +309,9 @@ def test_band_products_equal_the_dense_operators(h, w, colour, levels, seed):
     plane = to_luminance(frame) if colour else frame / 255.0
     for n in (h, w):
         dense = np.zeros((320, n))
-        for r0, r1, c0, c1, block in frameio._operator_bands(n):
+        for r0, r1, c0, c1, block, block_t in frameio._operator_bands(n, 320, frameio._GAUSSIAN3):
             dense[r0:r1, c0:c1] = block
+            assert block_t.flags.c_contiguous and (block_t == block.T).all()
         assert (dense == _dense_operator(n)).all()
     expected = np.clip(_dense_operator(h) @ plane @ _dense_operator(w).T, 0.0, 1.0)
     clip = normalize_clip(make_seq([frame]))
@@ -309,10 +320,14 @@ def test_band_products_equal_the_dense_operators(h, w, colour, levels, seed):
 
 def test_band_products_stay_within_one_blas_thread():
     # the worst case: a side-n operator against 320 on the other axis, where
-    # both stages multiply 320 x k x rows for a band of k columns
-    for n in range(1, 321):
-        for r0, r1, c0, c1, _ in frameio._operator_bands(n):
-            assert 320 * (c1 - c0) * (r1 - r0) <= 983_040, (n, r0)
+    # both stages multiply 320 x k x rows for a band of k columns; the same
+    # holds for the gb and af filters at frame sides up to 320
+    operators = [(n, 320, frameio._GAUSSIAN3) for n in range(1, 321)]
+    operators += [(n, n, filter_taps(family, window))
+                  for n in range(1, 321) for family in ("gb", "af") for window in (9, 15)]
+    for n_src, n_dst, taps in operators:
+        for r0, r1, c0, c1, _, _ in frameio._operator_bands(n_src, n_dst, taps):
+            assert 320 * (c1 - c0) * (r1 - r0) <= 983_040, (n_src, n_dst, len(taps), r0)
 
 
 # normalize_clip hands blocks of _BLOCK source frames round-robin to the
@@ -361,7 +376,8 @@ def test_normalize_scratch_does_not_scale_with_the_block():
     # x-stage scratch; a source buffer of block x h x w would exceed the bound
     h, w, n = 1080, 1920, 4
     seq = make_seq([np.full((h, w), 17 * k, dtype=np.uint8) for k in range(n)])
-    frameio._operator_bands(h), frameio._operator_bands(w)  # cached per side, built outside the trace
+    for side in (h, w):  # cached per side, built outside the trace
+        frameio._operator_bands(side, 320, frameio._GAUSSIAN3)
     tracemalloc.start()
     try:
         clip = normalize_clip(seq)

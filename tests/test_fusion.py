@@ -392,6 +392,17 @@ def test_calibration_threshold_on_an_observed_distance():
     assert t in d2d and realized == sum(1 for d in d2d if d < t) / 45
 
 
+@pytest.mark.parametrize("q", [0.0, 0.01, 0.5, 1.0])
+def test_calibration_threshold_on_an_exact_distance(q):
+    # blank clips give all-zero features: every pair distance is exactly 0 and
+    # the Gram error bound is 0, so the bounds are lo = hi = 0. Any q < 1 puts
+    # the threshold on that zero node, and no pair lies strictly below it
+    rows = [(f"blank{i}", np.zeros(1600), np.zeros(1600)) for i in range(4)]
+    want = assert_calibration_is_exact(rows, q)
+    if q < 1:
+        assert want == {name: (0.0, 0.0) for name in ("t_2d", "t_depth", "t_fusion")}
+
+
 def test_match_equals_record_loop_across_blocks():
     rng = np.random.default_rng(24)
     rows = mixed_rows(rng, 2 * BLOCK_ROWS + 37)
