@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .frameio import FrameSequence, _operator_bands, bilinear_matrix
+from .frameio import FrameSequence, _operator_bands, bilinear_matrix, gaussian_taps, to_u8
 
 # ---------------------------------------------------------------------------
 # per-frame transforms
@@ -37,17 +37,13 @@ from .frameio import FrameSequence, _operator_bands, bilinear_matrix
 _WINDOWS = 16384  # windows per median selection band: 7.4 MB of uint16 at 15 x 15
 
 
-def _u8(x: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(x), 0, 255).astype(np.uint8)
-
-
 def _planes(fn, frame, value):
     """Apply ``fn(x, value)`` to a frame as contiguous float64 planes, ``(h, w)``
     or ``(3, h, w)``; round and clamp the result to uint8, colour axis back last."""
     if frame.ndim == 2:
-        return _u8(fn(frame.astype(np.float64), value))
+        return to_u8(fn(frame.astype(np.float64), value))
     x = frame.transpose(2, 0, 1).astype(np.float64, order="C")
-    return np.ascontiguousarray(_u8(fn(x, value)).transpose(1, 2, 0))
+    return np.ascontiguousarray(to_u8(fn(x, value)).transpose(1, 2, 0))
 
 
 def _separable(x: np.ndarray, taps: tuple[float, ...]) -> np.ndarray:
@@ -64,48 +60,13 @@ def _separable(x: np.ndarray, taps: tuple[float, ...]) -> np.ndarray:
     return out
 
 
-def _median(frame, window, buf=None):
-    """Exact w x w median of a uint8 frame, edge-padded (``ndimage``'s "nearest").
-
-    The rank-``n // 2`` order statistic of each window, selected on a uint16
-    copy in row bands of at most ``_WINDOWS`` windows; a colour frame's
-    planes stay separate. numpy's vectorised selection covers 16-bit but not
-    8-bit integers, so selecting on uint16 is about 3x faster than on uint8.
-    Each band is copied into ``buf`` (from ``_median_buffer``, made here when
-    not given), so a clip's frames can share one buffer.
-    """
-    r, n = window // 2, window * window
-    pad = ((r, r), (r, r)) + ((0, 0),) * (frame.ndim - 2)
-    views = sliding_window_view(np.pad(frame.astype(np.uint16), pad, mode="edge"),
-                                (window, window), axis=(0, 1))
-    if buf is None:
-        buf = _median_buffer(frame, window)
-    out = np.empty_like(frame)
-    rows = max(1, _WINDOWS // frame[0].size)
-    for y in range(0, frame.shape[0], rows):
-        # one C-order copy: the reshape is a view of it and the selection runs in place
-        chunk = views[y : y + rows]
-        band = buf[: chunk.size].reshape(chunk.shape)
-        np.copyto(band, chunk)
-        windows = band.reshape(-1, n)
-        windows.partition(n // 2, axis=1)
-        out[y : y + rows] = windows[:, n // 2].reshape(band.shape[:-2])
-    return out
-
-
-def _median_buffer(frame, window):
-    """The uint16 band buffer of ``_median`` for frames shaped like ``frame``:
-    ``frame[0].size`` windows (a row's pixels and colour planes) per row."""
-    rows = min(frame.shape[0], max(1, _WINDOWS // frame[0].size))
-    return np.empty(rows * frame[0].size * window * window, dtype=np.uint16)
-
-
-def _blur(x, window, sigma=1.0):
-    """Gaussian blur: the normalized ``window``-tap Gaussian along each axis."""
-    t = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
-    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
-    k /= k.sum()
-    return _separable(x, tuple(k.tolist()))
+def _blur(x, window):
+    """Gaussian blur: the normalized ``window``-tap Gaussian of variance 1 along
+    each axis. The catalog fixes the variance for both windows, so the taps
+    that ``gb15`` adds to ``gb9``'s weigh at most exp(-12.5) = 3.7e-6 of the
+    centre tap (the ``FOUND`` in ``CHANGES.md``: the two give the same
+    detection numbers)."""
+    return _separable(x, gaussian_taps(window, 1.0))
 
 
 def _average(x, window):
@@ -178,17 +139,9 @@ def _flip(frame, direction):
 # clip-level ops: op(frames, value, seed) -> frames
 # ---------------------------------------------------------------------------
 
-def _each(fn, scratch=None):
-    """Apply ``fn(frame, value)`` to every uint8 frame; with ``scratch``, as
-    ``fn(frame, value, buf)`` with one ``buf = scratch(frames[0], value)`` for
-    the whole clip, whose frames share one shape."""
-    if scratch is None:
-        return lambda frames, v, seed: [fn(f, v) for f in frames]
-
-    def op(frames, v, seed):
-        buf = scratch(frames[0], v)
-        return [fn(f, v, buf) for f in frames]
-    return op
+def _each(fn):
+    """Apply ``fn(frame, value)`` to every uint8 frame on its own."""
+    return lambda frames, v, seed: [fn(f, v) for f in frames]
 
 
 def _pixels(fn):
@@ -196,11 +149,44 @@ def _pixels(fn):
     return lambda frames, v, seed: [_planes(fn, f, v) for f in frames]
 
 
+def _median(frames, window, seed):
+    """Exact w x w median of every uint8 frame, edge-padded (``ndimage``'s "nearest").
+
+    The rank-``n // 2`` order statistic of each window, selected on a uint16
+    copy in row bands of at most ``_WINDOWS`` windows; a colour frame's
+    planes stay separate. numpy's vectorised selection covers 16-bit but not
+    8-bit integers, so selecting on uint16 is about 3x faster than on uint8.
+    ``FrameSequence`` gives every frame of a clip the same shape, so one band
+    buffer, of ``frame[0].size`` windows (a row's pixels and colour planes)
+    per row, serves the whole clip. The filter draws nothing from ``seed``.
+    """
+    r, n = window // 2, window * window
+    height, per_row = frames[0].shape[0], frames[0][0].size
+    pad = ((r, r), (r, r)) + ((0, 0),) * (frames[0].ndim - 2)
+    rows = max(1, _WINDOWS // per_row)
+    buf = np.empty(min(height, rows) * per_row * n, dtype=np.uint16)
+    out = []
+    for frame in frames:
+        views = sliding_window_view(np.pad(frame.astype(np.uint16), pad, mode="edge"),
+                                    (window, window), axis=(0, 1))
+        median = np.empty_like(frame)
+        for y in range(0, height, rows):
+            # one C-order copy: the reshape is a view of it and the selection runs in place
+            chunk = views[y : y + rows]
+            band = buf[: chunk.size].reshape(chunk.shape)
+            np.copyto(band, chunk)
+            windows = band.reshape(-1, n)
+            windows.partition(n // 2, axis=1)
+            median[y : y + rows] = windows[:, n // 2].reshape(band.shape[:-2])
+        out.append(median)
+    return out
+
+
 def _noise(frames, variance, seed):
     """Additive Gaussian noise on the [0, 1] scale, one generator across the clip."""
     rng = np.random.default_rng(seed)
     sd = math.sqrt(variance)
-    return [_u8(np.clip(f.astype(np.float64) / 255.0 + rng.normal(0.0, sd, size=f.shape),
+    return [to_u8(np.clip(f.astype(np.float64) / 255.0 + rng.normal(0.0, sd, size=f.shape),
                         0.0, 1.0) * 255.0) for f in frames]
 
 
@@ -240,8 +226,7 @@ FAMILY_PARAMS = {
     # Gaussian blur (variance 1), average and median filters over a w x w window
     "gb": Family("window", "window side in pixels", {9: "9", 15: "15"}, _pixels(_blur)),
     "af": Family("window", "window side in pixels", {9: "9", 15: "15"}, _pixels(_average)),
-    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"},
-                 _each(_median, _median_buffer)),
+    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"}, _median),
     # contrast change around mid-gray 128, and multiplicative brightness gain
     "cc": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"},
                  _pixels(lambda x, d: 128.0 + (x - 128.0) * (1.0 + d))),

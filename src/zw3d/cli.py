@@ -55,10 +55,16 @@ from .shares import (
 
 EXIT_OK = 0
 EXIT_NO_MATCH = 1
-EXIT_DUPLICATE = 2
-EXIT_IO = 3
-EXIT_SHAPE = 4
-EXIT_UNKNOWN_ID = 5
+# the exit code of each error a command reports; the first class that matches wins
+EXIT_CODES = {
+    DuplicateIdError: 2,
+    UnknownIdError: 5,
+    FrameFormatError: 3,
+    RegistryError: 3,
+    UnicodeDecodeError: 3,
+    OSError: 3,
+    ValueError: 4,
+}
 CONFIG_KEYS = ("gamma", "target_pfp", "t_2d", "t_depth", "t_fusion", "seed")
 
 
@@ -71,14 +77,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+def _text_lines(path) -> list[str]:
+    """The stripped lines of a UTF-8 text file, less blank and ``#`` lines."""
+    lines = (line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def _read_config(path: str | None) -> dict:
     if not path:
         return {}
     out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _text_lines(path):
         if "=" not in line:
             raise ValueError(f"config line without '=': {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -222,17 +231,9 @@ def cmd_calibrate(args, config) -> int:
     return EXIT_OK
 
 
-def _read_scores(path) -> list[float]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(float(line))
-    return out
-
-
 def cmd_eval_det(args, config) -> int:
-    points = det_curve(_read_scores(args.genuine), _read_scores(args.impostor))
+    genuine, impostor = ([float(s) for s in _text_lines(p)] for p in (args.genuine, args.impostor))
+    points = det_curve(genuine, impostor)
     write_det_csv(args.output, points)
     print(f"{len(points)} DET points -> {args.output}")
     return EXIT_OK
@@ -378,20 +379,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _read_config(args.config)
-        return args.fn(args, config)
-    except DuplicateIdError as e:
+        return args.fn(args, _read_config(args.config))
+    except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_DUPLICATE
-    except UnknownIdError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNKNOWN_ID
-    except (FrameFormatError, RegistryError, UnicodeDecodeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SHAPE
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls))
 
 
 if __name__ == "__main__":

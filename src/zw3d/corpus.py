@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frameio import FrameSequence, save_clip
+from .frameio import FrameSequence, save_clip, to_u8
 from .shares import save_watermark
 
 
@@ -109,22 +109,21 @@ def _to_uint8(vol: np.ndarray, lo: float, hi: float) -> np.ndarray:
         scaled = np.full_like(vol, (lo + hi) / 2.0)
     else:
         scaled = lo + (vol - vmin) / (vmax - vmin) * (hi - lo)
-    return np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
+    return to_u8(scaled)
 
 
 def _colorize(gray: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Give a gray frame stack a mild per-channel tint, keeping structure."""
     gains = rng.uniform(0.75, 1.0, size=3)
     offsets = rng.uniform(0.0, 30.0, size=3)
-    chans = [np.clip(np.rint(gray.astype(np.float64) * g + o), 0, 255) for g, o in zip(gains, offsets)]
-    return np.stack(chans, axis=-1).astype(np.uint8)
+    return np.stack([to_u8(gray.astype(np.float64) * g + o) for g, o in zip(gains, offsets)], axis=-1)
 
 
 def make_clip(seed: int, frames: int = 64, size: int = 96, color: bool = False):
     """One synthetic (2d, depth) FrameSequence pair."""
     rng = np.random.default_rng(seed)
     tex = _to_uint8(_texture_volume(rng, frames, size), 25.0, 230.0)
-    dep = np.clip(np.rint(_depth_volume(rng, frames, size) * 255), 0, 255).astype(np.uint8)
+    dep = to_u8(_depth_volume(rng, frames, size) * 255)
     if color:
         tex = _colorize(tex, rng)
     frames_2d = [tex[k] for k in range(frames)]

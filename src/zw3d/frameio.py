@@ -12,7 +12,10 @@ is one linear operator per axis, applied as small products per band and axis,
 each short enough to stay on one OpenBLAS thread. ``_operator_bands`` is the
 one builder of such banded operators, for this resampling and for the
 ``gb``/``af`` attack filters alike: it cuts an operator into bands of rows
-restricted to their nonzero columns and caches them. The distinct picked
+restricted to their nonzero columns and caches them. Likewise
+``gaussian_taps`` is the one Gaussian-kernel builder (the 3x3 smoothing here,
+the ``gb`` blur there) and ``to_u8`` the one rounding of computed pixels back
+to uint8 frames, for the attacks and the synthetic corpus. The distinct picked
 frames go in blocks of 8 (``_BLOCK``), handed round-robin to up to two threads
 (``_WORKERS``, ``_run_blocks``), the same hand-out ``features.extract_feature``
 uses; a y-band is one stacked product over a whole block, so the threads make
@@ -26,7 +29,6 @@ full.
 from __future__ import annotations
 
 import functools
-import math
 import os
 import re
 from collections.abc import Callable
@@ -44,12 +46,6 @@ ROLES = ("2d", "depth", "synthesized")
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 _FRAME_RE = re.compile(r"frame_(\d{6})\.(pgm|ppm)$")
-
-# normalize_clip's smoothing, the 1-D factor of a 3x3 Gaussian of sigma 0.5:
-# the taps w, 1, w over their sum, added as (w + 1) + w. Over 2w + 1, which
-# rounds differently, they would move the planes by an ulp.
-_GAUSSIAN3_W = math.exp(-1.0 / (2.0 * 0.5 * 0.5))
-_GAUSSIAN3 = tuple(t / (_GAUSSIAN3_W + 1.0 + _GAUSSIAN3_W) for t in (_GAUSSIAN3_W, 1.0, _GAUSSIAN3_W))
 
 # output rows per band of an ``_operator_bands`` operator. A band of a
 # resampling operator from side n <= 320 spans at most 35 source columns, and
@@ -335,6 +331,24 @@ def temporal_indices(n_src: int, n_dst: int = VOLUME_FRAMES) -> np.ndarray:
     return (np.arange(n_dst, dtype=np.intp) * n_src) // n_dst
 
 
+def to_u8(x: np.ndarray) -> np.ndarray:
+    """Round to the nearest integer (half to even) and clamp to uint8: the one
+    conversion of computed pixel values back to 8-bit frames."""
+    return np.clip(np.rint(x), 0, 255).astype(np.uint8)
+
+
+def gaussian_taps(window: int, sigma: float) -> tuple[float, ...]:
+    """The normalized ``window``-tap Gaussian of standard deviation ``sigma``,
+    centred on the middle tap: the 1-D factor of a separable Gaussian, as the
+    ``taps`` of ``_operator_bands``. ``normalize_clip`` smooths with
+    ``gaussian_taps(3, 0.5)``, the ``gb`` attack with ``gaussian_taps(w, 1.0)``.
+    The taps are divided by their numpy sum (for 3 taps ``(w + 1) + w``);
+    another summation order rounds differently and moves the planes by an ulp."""
+    t = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    return tuple((k / k.sum()).tolist())
+
+
 @functools.cache
 def _operator_bands(n_src: int, n_dst: int, taps: tuple[float, ...]) -> tuple:
     """Bands of the axis operator from side ``n_src`` to ``n_dst``: a
@@ -422,8 +436,8 @@ def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     larger sides give the same planes but may use BLAS threads.
     """
     h, w = seq.height, seq.width
-    y_bands = _operator_bands(h, VOLUME_SIZE, _GAUSSIAN3)
-    x_bands = _operator_bands(w, VOLUME_SIZE, _GAUSSIAN3)
+    y_bands = _operator_bands(h, VOLUME_SIZE, gaussian_taps(3, 0.5))
+    x_bands = _operator_bands(w, VOLUME_SIZE, gaussian_taps(3, 0.5))
     sources, picks = np.unique(temporal_indices(len(seq)), return_inverse=True)
     planes = np.empty((len(sources), VOLUME_SIZE, VOLUME_SIZE), dtype=np.float64)
     workers = _block_workers(len(sources))

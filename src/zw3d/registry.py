@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FEATURE_DIM, feature_values
-from .shares import SHARE_SIDE, WATERMARK_SIDE, validate_share
+from .shares import SHARE_SIDE, WATERMARK_SIDE, _as_bits, validate_share
 
 MAGIC = b"ZW3D"
 VERSION = 1
@@ -93,13 +93,6 @@ def _feature_values(fn) -> np.ndarray:
     return v
 
 
-def _pack_bits(matrix: np.ndarray, side: int, what: str) -> np.ndarray:
-    m = np.asarray(matrix)
-    if m.shape != (side, side) or not np.isin(m, (0, 1)).all():
-        raise ValueError(f"{what} must be a binary {side}x{side} matrix")
-    return np.packbits(m.astype(np.uint8))
-
-
 def _unpack_bits(packed: np.ndarray, side: int) -> np.ndarray:
     return np.unpackbits(packed).reshape(side, side)
 
@@ -110,9 +103,9 @@ def _encode_record(rec: RegistrationRecord, store_watermarks: bool) -> bytes:
         raise ValueError("record id must be 1..65535 UTF-8 bytes")
     body = np.zeros((), _RECORD)
     body["fn"] = _feature_values(rec.fn_2d), _feature_values(rec.fn_depth)
-    body["o"] = [_pack_bits(validate_share(o), SHARE_SIDE, "ownership share")
-                 for o in (rec.o_2d, rec.o_depth)]
-    body["w"] = [_pack_bits(w if store_watermarks else np.zeros_like(w), WATERMARK_SIDE, "watermark")
+    body["o"] = [np.packbits(validate_share(o)) for o in (rec.o_2d, rec.o_depth)]
+    body["w"] = [np.packbits(_as_bits(w if store_watermarks else np.zeros_like(w),
+                                      (WATERMARK_SIDE, WATERMARK_SIDE), "watermark"))
                  for w in (rec.w_2d, rec.w_depth)]
     payload = _ID_LEN.pack(len(idb)) + idb + body.tobytes()
     return payload + _CRC.pack(zlib.crc32(payload))

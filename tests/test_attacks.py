@@ -246,32 +246,46 @@ def ndimage_median(frame, window):
 
 
 @st.composite
-def median_frames(draw):
-    """Gray or colour uint8 frames, sides 1..40, over the full range or over
-    2-4 levels (ties in nearly every window)."""
+def median_clips(draw):
+    """Clips of 1-3 gray or colour uint8 frames of one shape, sides 1..40,
+    each frame over the full range or over 2-4 levels (ties in nearly every
+    window)."""
     shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40))) + draw(st.sampled_from([(), (3,)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    levels = draw(st.sampled_from([256, 2, 3, 4]))
-    values = np.arange(256) if levels == 256 else rng.choice(256, size=levels, replace=False)
-    return rng.choice(values, size=shape).astype(np.uint8)
+    frames = []
+    for _ in range(draw(st.integers(1, 3))):
+        levels = draw(st.sampled_from([256, 2, 3, 4]))
+        values = np.arange(256) if levels == 256 else rng.choice(256, size=levels, replace=False)
+        frames.append(rng.choice(values, size=shape).astype(np.uint8))
+    return frames
+
+
+def assert_clip_median(frames, window):
+    """Every frame of ``_median``'s one-buffer pass over the clip equals its
+    own ``ndimage`` median, so no frame reads a band that another one left."""
+    for got, frame in zip(_median(frames, window, None), frames, strict=True):
+        np.testing.assert_array_equal(got, ndimage_median(frame, window))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
-@given(frame=median_frames())
-def test_median_equals_ndimage_median(frame):
+@given(frames=median_clips())
+def test_median_equals_ndimage_median(frames):
     for window in (1, 3, 5):
-        np.testing.assert_array_equal(_median(frame, window), ndimage_median(frame, window))
+        assert_clip_median(frames, window)
     for window in (9, 15):
-        out = apply_attack(FrameSequence([frame], "2d"), AttackSpec("mf", {"window": window}))
-        np.testing.assert_array_equal(out.frames[0], ndimage_median(frame, window))
+        out = apply_attack(FrameSequence(frames, "2d"), AttackSpec("mf", {"window": window}))
+        for got, frame in zip(out.frames, frames, strict=True):
+            np.testing.assert_array_equal(got, ndimage_median(frame, window))
 
 
 def test_median_across_bands():
-    # 100 x 3 windows a row, 54 rows a band: bands of 54, 54, 54 and 38 rows
-    frame = np.random.default_rng(10).integers(0, 256, size=(200, 100, 3), dtype=np.uint8)
+    # 100 x 3 windows a row, 54 rows a band: bands of 54, 54, 54 and a shorter
+    # last one of 38 rows, for three different frames through one buffer
+    rng = np.random.default_rng(10)
+    frames = [rng.integers(0, 256, size=(200, 100, 3), dtype=np.uint8) for _ in range(3)]
     assert -(-200 // (_WINDOWS // 300)) == 4
     for window in (9, 15):
-        np.testing.assert_array_equal(_median(frame, window), ndimage_median(frame, window))
+        assert_clip_median(frames, window)
 
 
 # -- gb and af against the ndimage filters they replaced ------------------------------

@@ -14,6 +14,7 @@ from zw3d.frameio import (
     FrameSequence,
     NormalizedClip,
     bilinear_matrix,
+    gaussian_taps,
     load_clip,
     normalize_clip,
     read_frame,
@@ -298,6 +299,14 @@ def _dense_operator(n):
     return g @ bilinear_matrix(n, 320)
 
 
+def test_gaussian_taps_are_pinned():
+    # the planes are compared within 1e-13 elsewhere, so a kernel that rounds
+    # one tap differently (e.g. divided by 2w + 1, not the numpy sum) shows only here
+    assert gaussian_taps(3, 0.5) == (0.10650697891920073, 0.7869860421615984, 0.10650697891920073)
+    for window in (9, 15):
+        assert gaussian_taps(window, 1.0) == filter_taps("gb", window)
+
+
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(h=st.integers(1, 400), w=st.integers(1, 400), colour=st.booleans(),
        levels=st.sampled_from(["full", "extremes"]), seed=st.integers(0, 2**32 - 1))
@@ -309,7 +318,7 @@ def test_band_products_equal_the_dense_operators(h, w, colour, levels, seed):
     plane = to_luminance(frame) if colour else frame / 255.0
     for n in (h, w):
         dense = np.zeros((320, n))
-        for r0, r1, c0, c1, block, block_t in frameio._operator_bands(n, 320, frameio._GAUSSIAN3):
+        for r0, r1, c0, c1, block, block_t in frameio._operator_bands(n, 320, gaussian_taps(3, 0.5)):
             dense[r0:r1, c0:c1] = block
             assert block_t.flags.c_contiguous and (block_t == block.T).all()
         assert (dense == _dense_operator(n)).all()
@@ -322,7 +331,7 @@ def test_band_products_stay_within_one_blas_thread():
     # the worst case: a side-n operator against 320 on the other axis, where
     # both stages multiply 320 x k x rows for a band of k columns; the same
     # holds for the gb and af filters at frame sides up to 320
-    operators = [(n, 320, frameio._GAUSSIAN3) for n in range(1, 321)]
+    operators = [(n, 320, gaussian_taps(3, 0.5)) for n in range(1, 321)]
     operators += [(n, n, filter_taps(family, window))
                   for n in range(1, 321) for family in ("gb", "af") for window in (9, 15)]
     for n_src, n_dst, taps in operators:
@@ -377,7 +386,7 @@ def test_normalize_scratch_does_not_scale_with_the_block():
     h, w, n = 1080, 1920, 4
     seq = make_seq([np.full((h, w), 17 * k, dtype=np.uint8) for k in range(n)])
     for side in (h, w):  # cached per side, built outside the trace
-        frameio._operator_bands(side, 320, frameio._GAUSSIAN3)
+        frameio._operator_bands(side, 320, gaussian_taps(3, 0.5))
     tracemalloc.start()
     try:
         clip = normalize_clip(seq)
