@@ -14,9 +14,9 @@ contiguous float64 planes ``(3, h, w)``, while the median filter (mf) selects
 on the uint8 frame itself, each colour plane apart. The Gaussian blur (gb)
 and average filter (af) are separable and linear: each is one product per
 band and axis with replicate borders, over the bands that
-``frameio._operator_bands`` builds for ``normalize_clip`` too. The
-stochastic families (gn, fr, fd) require a seed and are bit-reproducible
-under it. The module needs numpy only.
+``frameio._operator_bands`` builds for ``normalize_clip`` too, multiplied
+along x the same way. The stochastic families (gn, fr, fd) require a seed
+and are bit-reproducible under it. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -48,15 +48,16 @@ def _planes(fn, frame, value):
 
 def _separable(x: np.ndarray, taps: tuple[float, ...]) -> np.ndarray:
     """``taps`` correlated along y, then along x, over the planes ``(h, w)`` or
-    ``(3, h, w)``: one product per band of ``_operator_bands`` and axis. Up to
-    side 320 every product stays on one OpenBLAS thread."""
+    ``(3, h, w)``: one product per band of ``_operator_bands`` and axis, along
+    x through the view ``band.T`` as in ``normalize_clip``. Up to side 320
+    every product stays on one OpenBLAS thread."""
     h, w = x.shape[-2:]
     t = np.empty_like(x)
-    for r0, r1, c0, c1, band, _ in _operator_bands(h, h, taps):
+    for r0, r1, c0, c1, band in _operator_bands(h, h, taps):
         np.matmul(band, x[..., c0:c1, :], out=t[..., r0:r1, :])
     out = np.empty_like(x)
-    for r0, r1, c0, c1, _, band_t in _operator_bands(w, w, taps):
-        np.matmul(t[..., c0:c1], band_t, out=out[..., r0:r1])
+    for r0, r1, c0, c1, band in _operator_bands(w, w, taps):
+        np.matmul(t[..., c0:c1], band.T, out=out[..., r0:r1])
     return out
 
 
@@ -186,8 +187,7 @@ def _noise(frames, variance, seed):
     """Additive Gaussian noise on the [0, 1] scale, one generator across the clip."""
     rng = np.random.default_rng(seed)
     sd = math.sqrt(variance)
-    return [to_u8(np.clip(f.astype(np.float64) / 255.0 + rng.normal(0.0, sd, size=f.shape),
-                        0.0, 1.0) * 255.0) for f in frames]
+    return [to_u8((f / 255.0 + rng.normal(0.0, sd, size=f.shape)) * 255.0) for f in frames]
 
 
 def _replace(frames, rate, seed):

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .attacks import FAMILY_PARAMS, STOCHASTIC_FAMILIES, AttackSpec, apply_attack, attack_catalog
 from .dibr import BaselineConfig, synthesize_clip
-from .evaluation import ber_table, det_curve, write_ber_csv, write_det_csv
+from .evaluation import ber_table, det_curve, identify_record, write_ber_csv, write_det_csv
 from .features import extract_feature
 from .frameio import FrameFormatError, load_clip, normalize_clip, save_clip
 from .fusion import (
@@ -30,7 +30,6 @@ from .fusion import (
     TARGET_PFP,
     Thresholds,
     calibration_report,
-    fuse_scores,
     match_query,
     read_calibration_csv,
     write_calibration_csv,
@@ -43,13 +42,11 @@ from .registry import (
     UnknownIdError,
 )
 from .shares import (
-    ber,
     binarize_feature,
     build_master_share,
     build_ownership_share,
     load_watermark,
     rearrange,
-    recover_from_feature,
     save_watermark,
 )
 
@@ -161,6 +158,7 @@ def cmd_query(args, config) -> int:
 def cmd_identify(args, config) -> int:
     if not args.auto and not args.id:
         raise ValueError("identify needs --id or --auto")
+    gamma = _setting(args, config, "gamma", float, GAMMA)
     fn2d, fndep = _clip_features(args.clip_2d, args.clip_depth)
     with Registry(args.db, "r") as db:
         if args.auto:
@@ -173,17 +171,14 @@ def cmd_identify(args, config) -> int:
         else:
             record_id = args.id
         rec = db.get_record(record_id)
-    rec2d = recover_from_feature(fn2d, rec.o_2d)
-    recdep = recover_from_feature(fndep, rec.o_depth)
+    (rec2d, recdep), bers = identify_record(rec, fn2d, fndep, gamma)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_watermark(out_dir / "recovered_2d.pbm", rec2d)
     save_watermark(out_dir / "recovered_depth.pbm", recdep)
-    gamma = _setting(args, config, "gamma", float, GAMMA)
-    b2d, bdep = ber(rec.w_2d, rec2d), ber(rec.w_depth, recdep)
     writer = csv.writer(sys.stdout)
     writer.writerow(["record_id", "ber_2d", "ber_depth", "ber_fused"])
-    writer.writerow([record_id, f"{b2d:.6f}", f"{bdep:.6f}", f"{fuse_scores(b2d, bdep, gamma):.6f}"])
+    writer.writerow([record_id, *(f"{b:.6f}" for b in bers)])
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .frameio import FrameSequence, save_clip, to_u8
-from .shares import save_watermark
+from .shares import WATERMARK_SIDE, save_watermark
 
 
 def _grid(size: int):
@@ -119,8 +119,15 @@ def _colorize(gray: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.stack([to_u8(gray.astype(np.float64) * g + o) for g, o in zip(gains, offsets)], axis=-1)
 
 
+def _at_least_one(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def make_clip(seed: int, frames: int = 64, size: int = 96, color: bool = False):
     """One synthetic (2d, depth) FrameSequence pair."""
+    _at_least_one(frames=frames, size=size)
     rng = np.random.default_rng(seed)
     tex = _to_uint8(_texture_volume(rng, frames, size), 25.0, 230.0)
     dep = to_u8(_depth_volume(rng, frames, size) * 255)
@@ -135,9 +142,9 @@ def make_clip(seed: int, frames: int = 64, size: int = 96, color: bool = False):
 
 
 def make_watermark(seed: int) -> np.ndarray:
-    """Seeded random 40x40 watermark bits."""
+    """Seeded random watermark bits, ``WATERMARK_SIDE`` square."""
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=(40, 40), dtype=np.uint8)
+    return rng.integers(0, 2, size=(WATERMARK_SIDE, WATERMARK_SIDE), dtype=np.uint8)
 
 
 def generate_corpus(
@@ -153,6 +160,7 @@ def generate_corpus(
     Layout per clip: ``<out>/<id>/2d/frame_*.p?m``, ``<out>/<id>/depth/...``,
     plus per-clip ``watermark_2d.pbm`` and ``watermark_depth.pbm``.
     """
+    _at_least_one(clips=clips, frames=frames, size=size)
     out_dir = Path(out_dir)
     ids = []
     for c in range(clips):

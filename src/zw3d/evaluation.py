@@ -78,9 +78,19 @@ def det_curve(genuine_scores, impostor_scores) -> list[DetPoint]:
 
 
 # ---------------------------------------------------------------------------
-# BER tables from a registry plus an attacked-feature corpus
+# identification scores, and BER tables over an attacked-feature corpus
 # ---------------------------------------------------------------------------
-#
+
+def identify_record(rec, fn_2d, fn_depth, gamma: float):
+    """Both watermarks recovered from a suspect's features against ``rec``'s
+    ownership shares, and their BERs against its stored ones, fused last:
+    ``((w_2d, w_depth), (ber_2d, ber_depth, ber_fused))``."""
+    w_2d = recover_from_feature(fn_2d, rec.o_2d)
+    w_depth = recover_from_feature(fn_depth, rec.o_depth)
+    b2d, bdep = ber(rec.w_2d, w_2d), ber(rec.w_depth, w_depth)
+    return (w_2d, w_depth), (b2d, bdep, fuse_scores(b2d, bdep, gamma))
+
+
 # A corpus is an iterable of (clip_id, attack_name, fn_2d, fn_depth) holding
 # the features extracted from the attacked 2D and depth channels of a
 # registered clip.
@@ -88,18 +98,15 @@ def det_curve(genuine_scores, impostor_scores) -> list[DetPoint]:
 def ber_table(db, corpus, gamma: float = GAMMA, attack_order=None) -> list[dict]:
     """Mean watermark-recovery BER per (attack, channel) over a corpus.
 
-    For each corpus entry the watermark is recovered from the attacked
-    feature against the stored ownership share and compared with the stored
-    original. Rows come out one per (attack, channel) with channels 2d,
+    Each corpus entry is scored by ``identify_record`` against its clip's
+    record. Rows come out one per (attack, channel) with channels 2d,
     depth, and fused (per-clip fusion, then mean), ordered by
     ``attack_order`` when given, else by first appearance.
     """
     per_attack: dict[str, list[tuple[float, float, float]]] = {}
     for clip_id, attack, fn2d, fndep in corpus:
-        rec = db.get_record(clip_id)
-        b2d = ber(rec.w_2d, recover_from_feature(fn2d, rec.o_2d))
-        bdep = ber(rec.w_depth, recover_from_feature(fndep, rec.o_depth))
-        per_attack.setdefault(attack, []).append((b2d, bdep, fuse_scores(b2d, bdep, gamma)))
+        _, bers = identify_record(db.get_record(clip_id), fn2d, fndep, gamma)
+        per_attack.setdefault(attack, []).append(bers)
     names = list(per_attack)
     if attack_order is not None:
         ordered = [a for a in attack_order if a in per_attack]

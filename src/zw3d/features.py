@@ -10,8 +10,8 @@ frame center, so the resulting vector is exactly invariant under those maps;
 the temporal averaging and arctan normalization buy robustness against
 noise, filtering, and global intensity changes.
 
-The production geometry is a 320x320x100 volume, 16 rings of width 10, and a
-16x100 = 1600-dimensional feature. ``extract_feature`` is the one
+The production geometry is ``frameio``'s 320x320x100 volume, 16 rings of
+width 10 and ``FEATURE_DIM`` = 16 x 100 values. ``extract_feature`` is the one
 implementation of the pipeline; it also runs on reduced geometries, where the
 tests compare it against the plain-loop reference in ``tests/oracle.py``.
 The pixels are gathered in ring order, so every ring is one contiguous run
@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frameio import _BLOCK, NormalizedClip, _block_workers, _run_blocks
+from .frameio import _BLOCK, VOLUME_FRAMES, VOLUME_SIZE, NormalizedClip, _block_workers, _run_blocks
 
-FEATURE_DIM = 1600
 DISCARD = -1
 # longest pixel run per ring-sum product: an (8, 4096) product stays on one
 # OpenBLAS thread; after a multi-threaded call OpenBLAS's idle threads spin on
@@ -49,12 +48,12 @@ _RUN = 4096
 class FeatureParams:
     """Geometry and sampling constants for one feature extraction."""
 
-    size: int = 320          # spatial side of the normalized volume
-    frames: int = 100        # temporal depth K
-    ring_count: int = 16     # rings N (central disc counts as ring 0)
-    ring_width: float = 10.0 # radial width r
-    tiri_stride: int = 5     # sample frames k = stride, 2*stride, ...
-    tiri_samples: int = 20   # number of sampled frames M
+    size: int = VOLUME_SIZE      # spatial side of the normalized volume
+    frames: int = VOLUME_FRAMES  # temporal depth K
+    ring_count: int = 16         # rings N (central disc counts as ring 0)
+    ring_width: float = 10.0     # radial width r
+    tiri_stride: int = 5         # sample frames k = stride, 2*stride, ...
+    tiri_samples: int = 20       # number of sampled frames M
 
     def __post_init__(self):
         if self.tiri_stride * self.tiri_samples > self.frames:
@@ -69,6 +68,7 @@ class FeatureParams:
 
 
 DEFAULT_PARAMS = FeatureParams()
+FEATURE_DIM = DEFAULT_PARAMS.ring_count * DEFAULT_PARAMS.frames
 
 
 @dataclass

@@ -12,7 +12,8 @@ is one linear operator per axis, applied as small products per band and axis,
 each short enough to stay on one OpenBLAS thread. ``_operator_bands`` is the
 one builder of such banded operators, for this resampling and for the
 ``gb``/``af`` attack filters alike: it cuts an operator into bands of rows
-restricted to their nonzero columns and caches them. Likewise
+restricted to their nonzero columns and caches one block per band, which
+both multiply along x through the same transposed view. Likewise
 ``gaussian_taps`` is the one Gaussian-kernel builder (the 3x3 smoothing here,
 the ``gb`` blur there) and ``to_u8`` the one rounding of computed pixels back
 to uint8 frames, for the attacks and the synthetic corpus. The distinct picked
@@ -254,8 +255,8 @@ def write_pbm(path: str | Path, bits: np.ndarray) -> None:
 def load_clip(path: str | Path, role: str) -> FrameSequence:
     """Load ``frame_%06d.pgm|ppm`` files from a directory, in index order.
 
-    The numbering must start at 000000 and be gap-free; all frames must share
-    one size, and depth clips must be grayscale.
+    The numbering must start at 000000 and be gap-free, one file per index;
+    all frames must share one size, and depth clips must be grayscale.
     """
     path = Path(path)
     if not path.is_dir():
@@ -263,8 +264,9 @@ def load_clip(path: str | Path, role: str) -> FrameSequence:
     indexed: dict[int, Path] = {}
     for p in sorted(path.iterdir()):
         m = _FRAME_RE.match(p.name)
-        if m:
-            indexed[int(m.group(1))] = p
+        if m and indexed.setdefault(int(m.group(1)), p) != p:
+            twin = indexed[int(m.group(1))].name
+            raise FrameFormatError(f"{path}: frame {m.group(1)} stored twice: {twin} and {p.name}")
     if not indexed:
         raise FrameFormatError(f"{path}: no frame files")
     count = max(indexed) + 1
@@ -297,32 +299,23 @@ def to_luminance(frame: np.ndarray) -> np.ndarray:
     return (wr * r + wg * g + wb * b) / 255.0
 
 
-def _resample_axis(n_src: int, n_dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center-aligned bilinear sampling plan for one axis.
+def bilinear_matrix(n_src: int, n_dst: int) -> np.ndarray:
+    """(n_dst, n_src) center-aligned bilinear resampling operator for one axis.
 
-    Source coordinate of destination pixel x is (x + 0.5) * n_src/n_dst - 0.5,
-    clamped to the valid range; this is symmetric under axis flips and exact
-    identity when n_src == n_dst.
+    Destination pixel x samples source coordinate (x + 0.5) * n_src/n_dst - 0.5,
+    clamped to the valid range: symmetric under axis flips and the identity
+    when n_src == n_dst. ``bilinear_matrix(h, H) @ img @ bilinear_matrix(w, W).T``
+    is the bilinear resize of an (h, w) image to (H, W); each row holds at
+    most two non-negative weights summing to 1.
     """
     x = (np.arange(n_dst, dtype=np.float64) + 0.5) * (n_src / n_dst) - 0.5
     x = np.clip(x, 0.0, n_src - 1.0)
     lo = np.floor(x).astype(np.intp)
-    hi = np.minimum(lo + 1, n_src - 1)
-    return lo, hi, x - lo
-
-
-def bilinear_matrix(n_src: int, n_dst: int) -> np.ndarray:
-    """(n_dst, n_src) operator of the ``_resample_axis`` plan.
-
-    ``bilinear_matrix(h, H) @ img @ bilinear_matrix(w, W).T`` is the bilinear
-    resize of an (h, w) image to (H, W); each row holds at most two
-    non-negative weights summing to 1.
-    """
-    lo, hi, frac = _resample_axis(n_src, n_dst)
+    frac = x - lo
     m = np.zeros((n_dst, n_src), dtype=np.float64)
     rows = np.arange(n_dst)
     m[rows, lo] += 1.0 - frac
-    m[rows, hi] += frac
+    m[rows, np.minimum(lo + 1, n_src - 1)] += frac
     return m
 
 
@@ -357,14 +350,14 @@ def _operator_bands(n_src: int, n_dst: int, taps: tuple[float, ...]) -> tuple:
     ``i`` being ``sum(taps[t] * x[clip(i + t - r)])`` with ``r = len(taps) // 2``,
     the taps added in tap order.
 
-    The bands are ``(r0, r1, c0, c1, block, block_t)`` per ``_BAND`` rows:
+    The bands are ``(r0, r1, c0, c1, block)`` per ``_BAND`` rows:
     ``block = m[r0:r1, c0:c1]`` with ``c0:c1`` spanning every nonzero column
-    of those rows, and ``block_t`` its C-contiguous transpose, the right-hand
-    factor of a product along x (BLAS runs that faster than the view
-    ``block.T``). This is the one builder of banded operators:
-    ``normalize_clip``'s resampling and the ``gb``/``af`` filters
-    (``attacks._separable``) read its bands. Cached per sides and taps,
-    read-only, since every frame of those sides shares them."""
+    of those rows. A product along y is ``block @ x[c0:c1]``, one along x
+    ``x[..., c0:c1] @ block.T`` through the transposed view. This is the one
+    builder of banded operators: ``normalize_clip``'s resampling and the
+    ``gb``/``af`` filters (``attacks._separable``) read its bands, and both
+    multiply along x the same way. Cached per sides and taps, read-only,
+    since every frame of those sides shares them."""
     r, rows = len(taps) // 2, np.arange(n_dst)
     m = np.zeros((n_dst, n_dst), dtype=np.float64)
     for t, weight in enumerate(taps):  # one entry per row and tap: no repeats within a tap
@@ -377,9 +370,8 @@ def _operator_bands(n_src: int, n_dst: int, taps: tuple[float, ...]) -> tuple:
         cols = np.flatnonzero(m[r0:r1].any(axis=0))
         c0, c1 = int(cols[0]), int(cols[-1]) + 1
         block = m[r0:r1, c0:c1].copy()
-        block_t = np.ascontiguousarray(block.T)
-        block.flags.writeable = block_t.flags.writeable = False
-        bands.append((r0, r1, c0, c1, block, block_t))
+        block.flags.writeable = False
+        bands.append((r0, r1, c0, c1, block))
     return tuple(bands)
 
 
@@ -420,20 +412,17 @@ def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     (the Gaussian's times ``bilinear_matrix``), and each distinct picked frame
     is ``m_y @ plane @ m_x.T``. Each operator is nonzero only near its
     diagonal; ``_operator_bands`` caches it per source side as bands. The
-    x-pass multiplies by the view ``band.T``, not ``block_t``: for short
-    frames (1-37 rows with OpenBLAS 0.3.31's Haswell kernels) BLAS's
-    small-matrix kernels round the two differently, and the planes would move
-    by an ulp. The distinct frames go in blocks of
-    ``_BLOCK`` round-robin to ``_WORKERS`` threads (``_run_blocks``). A worker
-    converts one frame of its block at a time (a gray one into its ``(h, w)``
-    scratch) and runs one product per x-band into its ``(_BLOCK, h, 320)``
-    scratch; then each y-band is one stacked product over the block, written
-    straight into those rows of the block's contiguous planes and clipped to
-    [0, 1] while still in cache. The stacked product is one gemm per plane,
-    the same as a single plane's, so the planes do not depend on the worker
-    count. The slots that repeat a frame share its plane through ``picks``.
-    For sides up to 320 every band product stays on one OpenBLAS thread;
-    larger sides give the same planes but may use BLAS threads.
+    distinct frames go in blocks of ``_BLOCK`` round-robin to ``_WORKERS``
+    threads (``_run_blocks``). A worker converts one frame of its block at a
+    time (a gray one into its ``(h, w)`` scratch) and runs one product per
+    x-band into its ``(_BLOCK, h, 320)`` scratch; then each y-band is one
+    stacked product over the block, written straight into those rows of the
+    block's contiguous planes and clipped to [0, 1] while still in cache. The
+    stacked product is one gemm per plane, the same as a single plane's, so
+    the planes do not depend on the worker count. The slots that repeat a
+    frame share its plane through ``picks``. For sides up to 320 every band
+    product stays on one OpenBLAS thread; larger sides give the same planes
+    but may use BLAS threads.
     """
     h, w = seq.height, seq.width
     y_bands = _operator_bands(h, VOLUME_SIZE, gaussian_taps(3, 0.5))
@@ -450,10 +439,10 @@ def normalize_clip(seq: FrameSequence) -> NormalizedClip:
         for k, x in zip(ks, xs):
             frame = seq.frames[k]
             plane = to_luminance(frame) if frame.ndim == 3 else np.divide(frame, 255.0, out=src[wk])
-            for r0, r1, c0, c1, band, _ in x_bands:
+            for r0, r1, c0, c1, band in x_bands:
                 np.matmul(plane[:, c0:c1], band.T, out=x[:, r0:r1])
         out = planes[start : start + len(ks)]
-        for r0, r1, c0, c1, band, _ in y_bands:
+        for r0, r1, c0, c1, band in y_bands:
             rows = out[:, r0:r1]
             np.matmul(band, xs[:, c0:c1], out=rows)
             np.clip(rows, 0.0, 1.0, out=rows)

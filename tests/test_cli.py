@@ -73,6 +73,13 @@ def test_gen_corpus_layout_and_determinism(tmp_path):
     assert (tmp_path / "a/clip000/watermark_2d.pbm").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--clips", -1), ("--clips", 0), ("--frames", 0), ("--size", 0)])
+def test_gen_corpus_sizes_below_one_exit_4(tmp_path, flag, value):
+    code, out, err = run_cli("gen-corpus", "--out", tmp_path / "c", flag, value)
+    assert code == 4 and f"{flag[2:]} must be at least 1" in err, (out, err)
+    assert not (tmp_path / "c").exists()
+
+
 def test_register_duplicate_exit_2(corpus, registered):
     clip = corpus / "clip000"
     code, _, err = run_cli(
@@ -120,6 +127,19 @@ def test_query_zero_size_frames_exit_3(corpus, registered, tmp_path):
     )
     assert code == 3
     assert "zero size" in err
+
+
+def test_query_two_files_for_one_frame_exit_3(corpus, registered, tmp_path):
+    bad = tmp_path / "bad"
+    shutil.copytree(corpus / "clip000" / "2d", bad)
+    write_frame(bad / "frame_000000.ppm", np.zeros((48, 48, 3), dtype=np.uint8))
+    code, _, err = run_cli(
+        "query", "--db", registered, "--clip-2d", bad,
+        "--clip-depth", corpus / "clip000" / "depth",
+        "--t-2d", 0.1, "--t-depth", 0.1, "--t-fusion", 0.1,
+    )
+    assert code == 3
+    assert "frame_000000.pgm and frame_000000.ppm" in err
 
 
 def test_magic_without_whitespace_exit_3(corpus, registered, tmp_path):
@@ -549,6 +569,19 @@ def test_identify_flipped_clip_zero_ber(corpus, registered, tmp_path):
     row = list(csv.DictReader(io.StringIO(out)))[0]
     assert float(row["ber_2d"]) <= 1e-6
     assert float(row["ber_depth"]) <= 1e-6
+
+
+@pytest.mark.parametrize("gamma", ["abc", "-1"])
+def test_identify_bad_config_gamma_exit_4_before_writing(corpus, registered, tmp_path, gamma):
+    config = tmp_path / "zw3d.conf"
+    config.write_text(f"gamma={gamma}\n")
+    clip = corpus / "clip000"
+    code, out, err = run_cli(
+        "--config", config, "identify", "--db", registered, "--clip-2d", clip / "2d",
+        "--clip-depth", clip / "depth", "--id", "clip000", "--out-dir", tmp_path / "rec",
+    )
+    assert code == 4, err
+    assert out == "" and not (tmp_path / "rec").exists()
 
 
 def test_identify_unknown_id_exit_5(corpus, registered, tmp_path):

@@ -28,3 +28,9 @@ def test_make_clip_frames_are_byte_stable(seed, frames, size, color, digest):
         for frame in seq.frames:
             h.update(frame.tobytes())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("arg", ["frames", "size"])
+def test_make_clip_refuses_sizes_below_one(arg):
+    with pytest.raises(ValueError, match=f"{arg} must be at least 1"):
+        make_clip(0, **{arg: 0})

@@ -7,12 +7,13 @@ from zw3d.evaluation import (
     ber_table,
     compute_rates,
     det_curve,
+    identify_record,
     write_ber_csv,
     write_det_csv,
 )
 from zw3d.fusion import fuse_scores
 from zw3d.registry import RegistrationRecord, Registry, UnknownIdError
-from zw3d.shares import binarize_feature, build_master_share, build_ownership_share, rearrange
+from zw3d.shares import ber, binarize_feature, build_master_share, build_ownership_share, rearrange
 
 
 def zvec(rng):
@@ -142,6 +143,21 @@ def test_ber_table_unattacked_is_zero(tmp_path):
         rows = ber_table(db, corpus)
     assert len(rows) == 3  # one attack, three channels
     assert all(r["mean_ber"] == 0.0 and r["n"] == 3 for r in rows)
+
+
+def test_identify_record_recovers_and_scores_both_channels(tmp_path):
+    rng = np.random.default_rng(9)
+    path, feats, wms = registered_db(tmp_path, rng, n=1)
+    fn2d, fndep = feats["clip0"]
+    with Registry(path, "r") as db:
+        rec = db.get_record("clip0")
+    (w2d, wdep), bers = identify_record(rec, fn2d, fndep, 0.1)
+    assert (w2d == wms["clip0"][0]).all() and (wdep == wms["clip0"][1]).all()
+    assert bers == (0.0, 0.0, 0.0)
+    noisy = fn2d + rng.normal(0, 0.3, 1600)
+    (w2d, wdep), (b2d, bdep, fused) = identify_record(rec, noisy, fndep, 0.1)
+    assert b2d == ber(wms["clip0"][0], w2d) > 0 and bdep == 0.0
+    assert fused == fuse_scores(b2d, bdep, 0.1)
 
 
 def test_ber_table_fused_bound(tmp_path):

@@ -143,6 +143,13 @@ def test_load_clip_gap_error(tmp_path):
         load_clip(tmp_path, "2d")
 
 
+def test_load_clip_two_files_for_one_index(tmp_path):
+    write_frame(tmp_path / "frame_000000.pgm", np.zeros((4, 4), dtype=np.uint8))
+    write_frame(tmp_path / "frame_000000.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+    with pytest.raises(FrameFormatError, match="frame_000000.pgm and frame_000000.ppm"):
+        load_clip(tmp_path, "2d")
+
+
 def test_load_clip_mixed_dimensions(tmp_path):
     write_frame(tmp_path / "frame_000000.pgm", np.zeros((4, 4), dtype=np.uint8))
     write_frame(tmp_path / "frame_000001.pgm", np.zeros((5, 5), dtype=np.uint8))
@@ -318,9 +325,8 @@ def test_band_products_equal_the_dense_operators(h, w, colour, levels, seed):
     plane = to_luminance(frame) if colour else frame / 255.0
     for n in (h, w):
         dense = np.zeros((320, n))
-        for r0, r1, c0, c1, block, block_t in frameio._operator_bands(n, 320, gaussian_taps(3, 0.5)):
+        for r0, r1, c0, c1, block in frameio._operator_bands(n, 320, gaussian_taps(3, 0.5)):
             dense[r0:r1, c0:c1] = block
-            assert block_t.flags.c_contiguous and (block_t == block.T).all()
         assert (dense == _dense_operator(n)).all()
     expected = np.clip(_dense_operator(h) @ plane @ _dense_operator(w).T, 0.0, 1.0)
     clip = normalize_clip(make_seq([frame]))
@@ -335,8 +341,38 @@ def test_band_products_stay_within_one_blas_thread():
     operators += [(n, n, filter_taps(family, window))
                   for n in range(1, 321) for family in ("gb", "af") for window in (9, 15)]
     for n_src, n_dst, taps in operators:
-        for r0, r1, c0, c1, _, _ in frameio._operator_bands(n_src, n_dst, taps):
+        for r0, r1, c0, c1, _ in frameio._operator_bands(n_src, n_dst, taps):
             assert 320 * (c1 - c0) * (r1 - r0) <= 983_040, (n_src, n_dst, len(taps), r0)
+
+
+def _band_reference(frame):
+    """One plane through the cached bands, one 2-D product per band and axis."""
+    plane = to_luminance(frame) if frame.ndim == 3 else frame / 255.0
+    h, w = plane.shape
+    x = np.empty((h, 320))
+    for r0, r1, c0, c1, band in frameio._operator_bands(w, 320, gaussian_taps(3, 0.5)):
+        x[:, r0:r1] = plane[:, c0:c1] @ band.T
+    out = np.empty((320, 320))
+    for r0, r1, c0, c1, band in frameio._operator_bands(h, 320, gaussian_taps(3, 0.5)):
+        out[r0:r1] = band @ x[c0:c1]
+    return np.clip(out, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_planes_equal_the_band_products_to_the_bit(workers):
+    # the planes are pinned bit for bit to the bands: at 1-37 rows and widths
+    # 320 and 401, OpenBLAS rounds an x-pass through a C-contiguous copy of
+    # band.T differently from one through the view, by an ulp
+    rng = np.random.default_rng(19)
+    shapes = [(h, w) for w in (320, 401) for h in range(1, 38)] + [(41, 57), (96, 96)]
+    for i, (h, w) in enumerate(shapes):
+        shape = (h, w, 3) if i % 3 == 0 else (h, w)
+        frames = [rng.integers(0, 256, size=shape, dtype=np.uint8) for _ in range(9)]  # 2 blocks
+        with mock.patch.object(frameio, "_WORKERS", workers):
+            clip = normalize_clip(make_seq(frames))
+        assert len(clip.planes) == len(frames)
+        for frame, plane in zip(frames, clip.planes):
+            assert (plane == _band_reference(frame)).all(), (h, w)
 
 
 # normalize_clip hands blocks of _BLOCK source frames round-robin to the
