@@ -1,11 +1,12 @@
 """Deterministic clip attacks for robustness benchmarking.
 
-``FAMILY_PARAMS`` is the single statement of the fourteen attack families:
-for each one it holds the parameter name and meaning, the allowed values with
-the slug each gives the instance name, the clip-level op and whether the op
-is stochastic. The 26-instance ``attack_catalog``, ``apply_attack``'s
-dispatch, ``STOCHASTIC_FAMILIES`` and the CLI's attack flags all come from
-it.
+``PARAMS`` states each attack parameter once: its meaning and its allowed
+values with the slug each gives the instance name. ``FAMILY_PARAMS`` is the
+single statement of the fourteen attack families: for each one it names its
+parameter and holds the clip-level op and whether the op is stochastic. The
+26-instance ``attack_catalog``, ``apply_attack``'s dispatch,
+``STOCHASTIC_FAMILIES`` and the CLI's attack flags (one per ``PARAMS``
+entry) all come from the two.
 
 Geometric families change frame size (rs, cr) or count (fd); everything else
 preserves shape. Ops work on whole frames, gray ``(h, w)`` or colour
@@ -214,41 +215,50 @@ def _drop(frames, rate, seed):
 # the family table
 # ---------------------------------------------------------------------------
 
+PARAMS = {  # parameter -> (what it means, in what unit; allowed value -> slug in the instance name)
+    "window": ("window side in pixels", {9: "9", 15: "15"}),
+    "delta": ("signed fraction", {-0.30: "m30", 0.30: "p30"}),
+    "gamma": ("exponent", {0.6: "06", 1.4: "14"}),
+    "variance": ("variance on the [0,1] scale", {0.005: "005", 0.01: "01"}),
+    "size": ("logo side in pixels", {32: "32", 64: "64"}),
+    "factor": ("downscale denominator", {2: "2", 5: "5"}),
+    "fraction": ("share cut from each edge", {0.05: "5", 0.10: "10"}),
+    "angle": ("angle in degrees", {45: "45", 90: "90"}),
+    "direction": ("mirror axis", {"vertical": "v", "horizontal": "h"}),
+    "rate": ("share of frames", {0.05: "5"}),
+}
+
+
 class Family(NamedTuple):
-    param: str            # the one parameter's name (and the CLI flag's)
-    doc: str              # what the parameter means, in what unit (the flag's help)
-    values: dict          # allowed value -> slug in the instance name, in catalog order
+    param: str            # the one parameter's name in ``PARAMS`` (and the CLI flag's)
     op: Callable          # op(frames, value, seed) -> frames
     stochastic: bool = False  # the op draws from ``seed``, so a seed is required
+    values = property(lambda self: PARAMS[self.param][1])  # allowed value -> slug, in catalog order
 
 
 FAMILY_PARAMS = {
     # Gaussian blur (variance 1), average and median filters over a w x w window
-    "gb": Family("window", "window side in pixels", {9: "9", 15: "15"}, _pixels(_blur)),
-    "af": Family("window", "window side in pixels", {9: "9", 15: "15"}, _pixels(_average)),
-    "mf": Family("window", "window side in pixels", {9: "9", 15: "15"}, _median),
+    "gb": Family("window", _pixels(_blur)),
+    "af": Family("window", _pixels(_average)),
+    "mf": Family("window", _median),
     # contrast change around mid-gray 128, and multiplicative brightness gain
-    "cc": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"},
-                 _pixels(lambda x, d: 128.0 + (x - 128.0) * (1.0 + d))),
-    "cb": Family("delta", "signed fraction", {-0.30: "m30", 0.30: "p30"},
-                 _pixels(lambda x, d: x * (1.0 + d))),
-    "gt": Family("gamma", "exponent", {0.6: "06", 1.4: "14"}, _pixels(
-        lambda x, g: np.power(x / 255.0, g) * 255.0)),
+    "cc": Family("delta", _pixels(lambda x, d: 128.0 + (x - 128.0) * (1.0 + d))),
+    "cb": Family("delta", _pixels(lambda x, d: x * (1.0 + d))),
+    "gt": Family("gamma", _pixels(lambda x, g: np.power(x / 255.0, g) * 255.0)),
     # additive Gaussian noise
-    "gn": Family("variance", "variance on the [0,1] scale", {0.005: "005", 0.01: "01"},
-                 _noise, stochastic=True),
+    "gn": Family("variance", _noise, stochastic=True),
     # opaque checkerboard logo in the upper-left corner
-    "li": Family("size", "logo side in pixels", {32: "32", 64: "64"}, _each(_logo)),
+    "li": Family("size", _each(_logo)),
     # bilinear downscale of each side
-    "rs": Family("factor", "downscale denominator", {2: "2", 5: "5"}, _pixels(_resize)),
+    "rs": Family("factor", _pixels(_resize)),
     # crop from every edge
-    "cr": Family("fraction", "share cut from each edge", {0.05: "5", 0.10: "10"}, _each(_crop)),
+    "cr": Family("fraction", _each(_crop)),
     # rotation about the centre, and vertical or horizontal mirror
-    "rt": Family("angle", "angle in degrees", {45: "45", 90: "90"}, _each(_rotate)),
-    "fl": Family("direction", "mirror axis", {"vertical": "v", "horizontal": "h"}, _each(_flip)),
+    "rt": Family("angle", _each(_rotate)),
+    "fl": Family("direction", _each(_flip)),
     # frame replacement and frame dropping
-    "fr": Family("rate", "share of frames", {0.05: "5"}, _replace, stochastic=True),
-    "fd": Family("rate", "share of frames", {0.05: "5"}, _drop, stochastic=True),
+    "fr": Family("rate", _replace, stochastic=True),
+    "fd": Family("rate", _drop, stochastic=True),
 }
 
 STOCHASTIC_FAMILIES = tuple(f for f, fam in FAMILY_PARAMS.items() if fam.stochastic)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .attacks import FAMILY_PARAMS, STOCHASTIC_FAMILIES, AttackSpec, apply_attack, attack_catalog
+from .attacks import FAMILY_PARAMS, PARAMS, STOCHASTIC_FAMILIES, AttackSpec, apply_attack, attack_catalog
 from .dibr import BaselineConfig, synthesize_clip
 from .evaluation import ber_table, det_curve, identify_record, write_ber_csv, write_det_csv
 from .features import extract_feature
@@ -178,7 +178,7 @@ def cmd_identify(args, config) -> int:
     save_watermark(out_dir / "recovered_depth.pbm", recdep)
     writer = csv.writer(sys.stdout)
     writer.writerow(["record_id", "ber_2d", "ber_depth", "ber_fused"])
-    writer.writerow([record_id, *(f"{b:.6f}" for b in bers)])
+    writer.writerow([record_id, *(("",) * 3 if bers is None else (f"{b:.6f}" for b in bers))])
     return EXIT_OK
 
 
@@ -315,15 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--role", choices=("2d", "depth", "synthesized"), default="2d")
-    flags: dict[str, tuple] = {}  # parameter -> (meaning, allowed values, families)
-    for family, spec in FAMILY_PARAMS.items():
-        doc, values, families = flags.setdefault(spec.param, (spec.doc, tuple(spec.values), []))
-        if (doc, values) != (spec.doc, tuple(spec.values)):
-            raise ValueError(f"--{spec.param} differs between {families[0]} and {family}")
-        families.append(family)
-    for key, (doc, values, families) in flags.items():
-        kind = type(values[0])
-        p.add_argument(f"--{key}", type=kind, choices=values if kind is str else None,
+    for key, (doc, values) in PARAMS.items():
+        kind, families = type(next(iter(values))), [f for f, fam in FAMILY_PARAMS.items() if fam.param == key]
+        p.add_argument(f"--{key}", type=kind, choices=tuple(values) if kind is str else None,
                        help=f"{'/'.join(families)} {doc}: {', '.join(map(str, values))}")
     p.add_argument("--seed", type=int, help=f"seed for {'/'.join(STOCHASTIC_FAMILIES)}")
     p.set_defaults(fn=cmd_attack)

@@ -84,9 +84,12 @@ def det_curve(genuine_scores, impostor_scores) -> list[DetPoint]:
 def identify_record(rec, fn_2d, fn_depth, gamma: float):
     """Both watermarks recovered from a suspect's features against ``rec``'s
     ownership shares, and their BERs against its stored ones, fused last:
-    ``((w_2d, w_depth), (ber_2d, ber_depth, ber_fused))``."""
+    ``((w_2d, w_depth), (ber_2d, ber_depth, ber_fused))``. The BERs are
+    None for a record registered without its watermarks (all-zero fields)."""
     w_2d = recover_from_feature(fn_2d, rec.o_2d)
     w_depth = recover_from_feature(fn_depth, rec.o_depth)
+    if not (rec.w_2d.any() or rec.w_depth.any()):
+        return (w_2d, w_depth), None
     b2d, bdep = ber(rec.w_2d, w_2d), ber(rec.w_depth, w_depth)
     return (w_2d, w_depth), (b2d, bdep, fuse_scores(b2d, bdep, gamma))
 
@@ -99,13 +102,16 @@ def ber_table(db, corpus, gamma: float = GAMMA, attack_order=None) -> list[dict]
     """Mean watermark-recovery BER per (attack, channel) over a corpus.
 
     Each corpus entry is scored by ``identify_record`` against its clip's
-    record. Rows come out one per (attack, channel) with channels 2d,
+    record; a record registered without its watermarks raises
+    ``ValueError``. Rows come out one per (attack, channel) with channels 2d,
     depth, and fused (per-clip fusion, then mean), ordered by
     ``attack_order`` when given, else by first appearance.
     """
     per_attack: dict[str, list[tuple[float, float, float]]] = {}
     for clip_id, attack, fn2d, fndep in corpus:
         _, bers = identify_record(db.get_record(clip_id), fn2d, fndep, gamma)
+        if bers is None:
+            raise ValueError(f"record {clip_id!r} was registered without its watermarks: no BER to take")
         per_attack.setdefault(attack, []).append(bers)
     names = list(per_attack)
     if attack_order is not None:

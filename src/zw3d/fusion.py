@@ -9,17 +9,12 @@ Matching against the registry is flexible: either channel may match
 independently against its own threshold, or the fused score is held against a
 fusion threshold.
 
-Retrieval and calibration are linear algebra on the identity
-``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``. A query streams
-``db.iterate_features()`` in blocks of ``BLOCK_ROWS`` records into
-preallocated buffers and scores each block with one matrix-vector product per
-channel; calibration takes one Gram matrix ``F F^T`` per channel over all
-records. A Gram distance differs from the exact ``feature_distance`` (the
-difference vector dotted with itself) by at most the bound of ``_gram_eps``.
-Every record or pair whose Gram distance, moved by that bound, could change a
-decision, a quantile node or a realized rate is rescored exactly, so
-``match_query`` and ``calibration_report`` return exactly what scoring every
-record and every pair with ``score_record`` and ``feature_distance`` returns.
+A query scores every record exactly, in blocks of ``BLOCK_ROWS``, with the
+row kernel of ``feature_distance``. Calibration takes one Gram matrix
+``F F^T`` per channel (``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``) and
+rescores exactly every pair whose Gram distance, moved by the error bound of
+``_gram_eps``, could be a quantile node or cross a threshold. So both return
+exactly what scoring every record and pair with ``feature_distance`` returns.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ MODES = ("independent", "fused")
 DECISIONS = ("no-match", "match-2d", "match-depth", "match-fused")  # a match's index - 1 picks its distance
 GAMMA = 0.1  # default fusion gamma
 TARGET_PFP = 0.01  # default calibration target for the false-positive fraction
-BLOCK_ROWS = 256  # records per matrix-vector product in match_query
+BLOCK_ROWS = 256  # records per scored block in match_query
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 
 
@@ -70,25 +65,24 @@ class MatchResult:
     mode: str
 
 
+def _row_distances(diff: np.ndarray):
+    """``||d||^2 / n`` for each row d of ``diff`` (a 0-d array for a vector):
+    the one rounding of a distance, so every scoring path gives the same bits."""
+    return np.vecdot(diff, diff) / diff.shape[-1]
+
+
 def feature_distance(fn: FeatureVector | np.ndarray, fn_other: FeatureVector | np.ndarray) -> float:
     """Mean squared difference between two feature vectors."""
     a, b = feature_values(fn), feature_values(fn_other)
     if a.shape != b.shape:
         raise ValueError(f"feature length mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(diff.dot(diff)) / a.size
-
-
-def _gram_distances(sq_a, sq_b, dots, n: int) -> np.ndarray:
-    """``(||a||^2 + ||b||^2 - 2 a.b) / n`` from squared norms and dot
-    products, clamped at 0 (a true distance is never negative)."""
-    return np.maximum((sq_a + sq_b - 2.0 * dots) / n, 0.0)
+    return float(_row_distances(a - b))
 
 
 def _gram_eps(n: int, sq_norm):
-    """A bound on the difference between a ``_gram_distances`` value and
-    ``feature_distance`` for vectors of length n whose computed squared norms
-    are at most ``sq_norm``.
+    """A bound on the difference between a Gram distance of
+    ``_channel_pair_distances`` and ``feature_distance`` for vectors of
+    length n whose computed squared norms are at most ``sq_norm``.
 
     With u the unit roundoff and g_m = m u / (1 - m u), a dot product of n
     terms, summed in any order, errs by at most g_n sum |x_k y_k|. So both
@@ -173,17 +167,12 @@ def match_query(q2d, qdepth, db, thresholds: Thresholds, mode: str = "independen
     matched channel's distance otherwise), with the record id as tiebreak.
     An empty registry yields an empty list. A record whose distance to the
     query is NaN raises ``ValueError`` in either mode.
-
-    Records are scored ``BLOCK_ROWS`` at a time by one matrix-vector product
-    per channel. A record goes on to the exact ``score_record`` when its Gram
-    distances, lowered by their error bound, could still pass the decision;
-    no other record can match, so the results are those of scoring every
-    record exactly.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    shapes = (feature_values(q2d).shape, feature_values(qdepth).shape)
-    blocks = (np.empty((BLOCK_ROWS, *shapes[0])), np.empty((BLOCK_ROWS, *shapes[1])))
+    queries = (feature_values(q2d), feature_values(qdepth))
+    shapes = tuple(q.shape for q in queries)
+    blocks = tuple(np.empty((BLOCK_ROWS, *shape)) for shape in shapes)
     ids: list[str] = []
     results: list[MatchResult] = []
     for record_id, fn_2d, fn_depth in db.iterate_features():
@@ -192,35 +181,31 @@ def match_query(q2d, qdepth, db, thresholds: Thresholds, mode: str = "independen
         blocks[0][len(ids)], blocks[1][len(ids)] = fn_2d, fn_depth
         ids.append(record_id)
         if len(ids) == BLOCK_ROWS:
-            results += _match_block(q2d, qdepth, blocks, ids, thresholds, mode)
+            results += _match_block(queries, blocks, ids, thresholds, mode)
             ids = []
     if ids:
-        results += _match_block(q2d, qdepth, blocks, ids, thresholds, mode)
+        results += _match_block(queries, blocks, ids, thresholds, mode)
     results.sort(key=lambda r: ((r.d_2d, r.d_depth, r.d_fused)[DECISIONS.index(r.decision) - 1],
                                 r.record_id))
     return results
 
 
-def _match_block(q2d, qdepth, blocks, ids, thresholds: Thresholds, mode: str) -> list[MatchResult]:
-    """Matches among the first ``len(ids)`` buffered records: a Gram lower
-    bound on each channel's distance, then ``score_record`` for every record
-    the bounds cannot rule out. A NaN distance (a feature holding NaN or an
-    infinity) raises ``ValueError`` naming the record, since no decision can
-    be made on it."""
-    lows = []
-    for q, block in zip((feature_values(q2d), feature_values(qdepth)), blocks):
-        rows = block[: len(ids)]
-        sq_q, sq = q.dot(q), np.einsum("ij,ij->i", rows, rows)
-        low = _gram_distances(sq_q, sq, rows @ q, q.size) - _gram_eps(q.size, np.maximum(sq_q, sq))
-        if np.isnan(low).any():
-            raise ValueError(f"distance to record {ids[np.isnan(low).argmax()]!r} is NaN")
-        lows.append(low)
-    out = []
-    for k in np.flatnonzero(_decide(*lows, _fused_bound(*lows, thresholds.gamma, -1), thresholds, mode)):
-        d2d, ddep, dfused, decision = score_record(q2d, qdepth, blocks[0][k], blocks[1][k], thresholds, mode)
-        if decision != "no-match":
-            out.append(MatchResult(ids[k], d2d, ddep, dfused, decision, mode))
-    return out
+def _match_block(queries, blocks, ids, thresholds: Thresholds, mode: str) -> list[MatchResult]:
+    """Matches among the first ``len(ids)`` buffered records: the query is
+    subtracted from the buffer in place, each row scored by ``_row_distances``.
+    A NaN distance (a NaN component, or the query's infinity in the record)
+    raises ``ValueError`` naming the record: no decision can be made on it."""
+    dists = []
+    for q, block in zip(queries, blocks):
+        rows = np.subtract(block[: len(ids)], q, out=block[: len(ids)])
+        d = _row_distances(rows)
+        if np.isnan(d).any():
+            raise ValueError(f"distance to record {ids[np.isnan(d).argmax()]!r} is NaN")
+        dists.append(d)
+    fused = _fuse(*dists, thresholds.gamma)
+    decisions = _decide(*dists, fused, thresholds, mode)
+    return [MatchResult(ids[k], float(dists[0][k]), float(dists[1][k]), float(fused[k]),
+                        DECISIONS[decisions[k]], mode) for k in np.flatnonzero(decisions)]
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +232,17 @@ def zero_anchored_quantile(values, q: float) -> float:
 
 
 def _channel_pair_distances(f: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gram distances of all record pairs i < j (row-major) of one channel's
-    (records, n) feature matrix, and their error bound."""
+    """Gram distances ``(||a||^2 + ||b||^2 - 2 a.b) / n``, clamped at 0, of
+    all record pairs i < j (row-major) of one channel's (records, n) feature
+    matrix, and their error bound."""
     gram = f @ f.T
     sq = gram.diagonal().copy()
     n_rec, n = f.shape
     out = np.empty(n_rec * (n_rec - 1) // 2)
     start = 0
     for i in range(n_rec - 1):
-        out[start : start + n_rec - 1 - i] = _gram_distances(sq[i], sq[i + 1 :], gram[i, i + 1 :], n)
+        out[start : start + n_rec - 1 - i] = np.maximum((sq[i] + sq[i + 1 :] - 2.0 * gram[i, i + 1 :]) / n,
+                                                        0.0)
         start += n_rec - 1 - i
     return out, _gram_eps(n, sq.max())
 

@@ -17,7 +17,8 @@ injective and atomic. Layout (all little-endian):
 
 Watermarks ride along strictly for evaluation (recovery BER needs the
 original); ``register(..., store_watermarks=False)`` zeroes those fields for
-deployments that must not retain them.
+deployments that must not retain them. A stored watermark must hold a white
+bit, so all-zero fields mean "not stored".
 
 An append writes the record after the last counted one, truncates the file
 there and fsyncs; only then does it write the bumped header count and fsync
@@ -104,9 +105,10 @@ def _encode_record(rec: RegistrationRecord, store_watermarks: bool) -> bytes:
     body = np.zeros((), _RECORD)
     body["fn"] = _feature_values(rec.fn_2d), _feature_values(rec.fn_depth)
     body["o"] = [np.packbits(validate_share(o)) for o in (rec.o_2d, rec.o_depth)]
-    body["w"] = [np.packbits(_as_bits(w if store_watermarks else np.zeros_like(w),
-                                      (WATERMARK_SIDE, WATERMARK_SIDE), "watermark"))
-                 for w in (rec.w_2d, rec.w_depth)]
+    w = [_as_bits(w, (WATERMARK_SIDE, WATERMARK_SIDE), "watermark") for w in (rec.w_2d, rec.w_depth)]
+    if store_watermarks and not all(map(np.any, w)):
+        raise ValueError("a stored watermark needs a white bit: all black reads as not stored")
+    body["w"] = [np.packbits(bits if store_watermarks else np.zeros_like(bits)) for bits in w]
     payload = _ID_LEN.pack(len(idb)) + idb + body.tobytes()
     return payload + _CRC.pack(zlib.crc32(payload))
 

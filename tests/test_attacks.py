@@ -15,6 +15,7 @@ from scipy import ndimage
 from zw3d.attacks import (
     _WINDOWS,
     FAMILY_PARAMS,
+    PARAMS,
     STOCHASTIC_FAMILIES,
     AttackSpec,
     _median,
@@ -76,6 +77,13 @@ def test_stochastic_families_need_seed():
     with pytest.raises(ValueError, match="seed"):
         AttackSpec("gn", {"variance": 0.005})
     AttackSpec("gn", {"variance": 0.005}, seed=1)  # fine with a seed
+
+
+def test_every_parameter_is_stated_once_and_used():
+    # a family names its parameter; meaning and values live in PARAMS alone
+    assert {spec.param for spec in FAMILY_PARAMS.values()} == set(PARAMS)
+    for spec in FAMILY_PARAMS.values():
+        assert spec.values is PARAMS[spec.param][1]
 
 
 def test_stochastic_families_come_from_table():

@@ -509,18 +509,6 @@ def test_attack_flags_come_from_family_table(capsys):
     assert "seed for gn/fr/fd" in text
 
 
-@pytest.mark.parametrize("change", [{"values": {9: "9", 13: "13"}}, {"doc": "radius"}],
-                         ids=["values", "doc"])
-def test_attack_flag_stated_twice_differently_is_refused(monkeypatch, change):
-    import zw3d.cli
-    from zw3d.attacks import FAMILY_PARAMS
-
-    table = dict(FAMILY_PARAMS, mf=FAMILY_PARAMS["mf"]._replace(**change))
-    monkeypatch.setattr(zw3d.cli, "FAMILY_PARAMS", table)
-    with pytest.raises(ValueError, match="--window differs between gb and mf"):
-        zw3d.cli.build_parser()
-
-
 def test_identify_round_trip(corpus, registered, tmp_path):
     clip = corpus / "clip000"
     code, out, err = run_cli(
@@ -540,6 +528,55 @@ def test_identify_round_trip(corpus, registered, tmp_path):
     got = load_watermark(tmp_path / "rec/recovered_2d.pbm")
     want = load_watermark(clip / "watermark_2d.pbm")
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def unstored(corpus, tmp_path_factory):
+    """A registry holding clip000 registered with --no-store-watermarks."""
+    db = tmp_path_factory.mktemp("cli_unstored") / "reg.zw3d"
+    clip = corpus / "clip000"
+    code, _, err = run_cli("register", "--db", db, "--id", "clip000", "--no-store-watermarks",
+                           "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
+                           "--watermark-2d", clip / "watermark_2d.pbm",
+                           "--watermark-depth", clip / "watermark_depth.pbm")
+    assert code == 0, err
+    return db
+
+
+def test_register_all_black_stored_watermark_exit_4(corpus, tmp_path):
+    # all-zero watermark fields mean "not stored", so a stored one needs a white bit
+    clip = corpus / "clip000"
+    black = tmp_path / "black.pbm"
+    write_pbm(black, np.ones((40, 40), dtype=np.uint8))  # PBM bit 1 is black
+    code, _, err = run_cli("register", "--db", tmp_path / "x.zw3d", "--id", "z",
+                           "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
+                           "--watermark-2d", clip / "watermark_2d.pbm", "--watermark-depth", black)
+    assert code == 4 and "white bit" in err, err
+    with Registry(tmp_path / "x.zw3d", "r") as db:
+        assert len(db) == 0
+
+
+def test_identify_without_stored_watermarks_prints_no_ber(corpus, unstored, tmp_path):
+    clip = corpus / "clip000"
+    code, out, err = run_cli("identify", "--db", unstored, "--clip-2d", clip / "2d",
+                             "--clip-depth", clip / "depth", "--id", "clip000", "--out-dir", tmp_path / "rec")
+    assert code == 0, err
+    assert list(csv.DictReader(io.StringIO(out))) == [
+        {"record_id": "clip000", "ber_2d": "", "ber_depth": "", "ber_fused": ""}]
+    from zw3d.shares import load_watermark
+
+    for channel in ("2d", "depth"):
+        np.testing.assert_array_equal(load_watermark(tmp_path / f"rec/recovered_{channel}.pbm"),
+                                      load_watermark(clip / f"watermark_{channel}.pbm"))
+
+
+def test_eval_ber_without_stored_watermarks_exit_4(corpus, unstored, tmp_path):
+    for role in ("2d", "depth"):
+        shutil.copytree(corpus / "clip000" / role, tmp_path / "tree" / "clip000" / "none" / role)
+    code, _, err = run_cli("eval-ber", "--db", unstored, "--corpus-dir", tmp_path / "tree",
+                           "--out", tmp_path / "ber.csv")
+    assert code == 4 and "'clip000'" in err and "without its watermarks" in err, err
+    assert not (tmp_path / "ber.csv").exists()
 
 
 def test_identify_auto_chains_query(corpus, registered, thresholds_csv, tmp_path):

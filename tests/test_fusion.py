@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
-from oracle import brute_calibration, brute_match, brute_pair_distances
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracle import brute_calibration, brute_distance, brute_fuse, brute_match, brute_pair_distances
 
+from zw3d import fusion
 from zw3d.features import FeatureVector
 from zw3d.fusion import (
     BLOCK_ROWS,
     MODES,
     Thresholds,
     _channel_pair_distances,
+    _row_distances,
     calibration_report,
     feature_distance,
     fuse_scores,
@@ -457,3 +463,87 @@ def test_match_rejects_feature_length_mismatch():
     rows = [("ok", zvec(rng), zvec(rng)), ("short", np.zeros(1), zvec(rng))]
     with pytest.raises(ValueError, match="length"):
         match_query(zvec(rng), zvec(rng), FakeRegistry(rows), Thresholds(1.0, 1.0, 1.0))
+
+
+def test_row_kernel_equals_the_difference_dotted_with_itself():
+    # blocks of 1-299 rows, whole and as views from an offset row, so that
+    # rows start at every alignment a block buffer can give them
+    rng = np.random.default_rng(28)
+    for rows in (1, 2, 3, 7, 64, 255, 256, 299):
+        for n in (1, 5, 16, 1600):
+            block = rng.normal(size=(rows, n)) * rng.choice([1e-9, 1.0, 1e6], size=(rows, 1))
+            for view in (block, block[rows // 3 :], block[1:]):
+                if len(view):
+                    assert _row_distances(view).tolist() == [float(d.dot(d)) / n for d in view]
+                    assert float(_row_distances(view[0])) == float(view[0].dot(view[0])) / n
+
+
+# -- generated registries against the brute-force loops ------------------------
+
+COMPONENTS = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5]) | st.floats(-4, 4, allow_nan=False)
+
+
+@st.composite
+def feature(draw, n):
+    """A feature of length n: drawn components, all zero, or drawn with one
+    component set to an infinity."""
+    kind = draw(st.sampled_from(["drawn", "drawn", "drawn", "zero", "inf"]))
+    if kind == "zero":
+        return np.zeros(n)
+    v = np.array(draw(st.lists(COMPONENTS, min_size=n, max_size=n)))
+    if kind == "inf":
+        v[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.inf, -math.inf]))
+    return v
+
+
+@st.composite
+def registries(draw):
+    """(query, rows): records in registry order under unique ids not in id
+    order, exact duplicates of earlier records among them, now and then one
+    NaN component; the query is drawn or a record's own features."""
+    n = draw(st.integers(1, 5))
+    ids = draw(st.permutations([f"r{i:02d}" for i in range(14)]))[: draw(st.integers(0, 14))]
+    rows = []
+    for rid in ids:
+        if rows and draw(st.booleans()):
+            _, a, b = draw(st.sampled_from(rows))
+            rows.append((rid, a.copy(), b.copy()))
+        else:
+            rows.append((rid, draw(feature(n)), draw(feature(n))))
+    if rows and draw(st.sampled_from([False] * 5 + [True])):
+        _, a, b = draw(st.sampled_from(rows))
+        (a, b)[draw(st.integers(0, 1))][draw(st.integers(0, n - 1))] = math.nan
+    if rows and draw(st.booleans()):
+        query = tuple(f.copy() for f in draw(st.sampled_from(rows))[1:])
+    else:
+        query = (draw(feature(n)), draw(feature(n)))
+    return query, rows
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), case=registries(), block_rows=st.integers(1, 4),
+       gamma=st.sampled_from([0.1, 0.0, 3.0]))
+def test_match_equals_brute_force_on_generated_registries(monkeypatch, data, case, block_rows, gamma):
+    # blocks of 1-4 records, so that records cross block boundaries; each
+    # threshold is 0, +inf, drawn, or one of the distances it is held against
+    monkeypatch.setattr(fusion, "BLOCK_ROWS", block_rows)
+    (q2d, qdep), rows = case
+    with np.errstate(invalid="ignore"):
+        d2d = [brute_distance(q2d, a) for _, a, _ in rows]
+        ddep = [brute_distance(qdep, b) for _, _, b in rows]
+    dfused = [brute_fuse(a, b, gamma) for a, b in zip(d2d, ddep) if not math.isnan(a + b)]
+
+    def threshold(observed):
+        finite = [d for d in observed if math.isfinite(d)]
+        return data.draw(st.sampled_from([0.0, math.inf] + finite) | st.floats(0, 20))
+
+    th = Thresholds(threshold(d2d), threshold(ddep), threshold(dfused), gamma)
+    for mode in MODES:
+        if any(math.isnan(d) for d in d2d + ddep):
+            with pytest.raises(ValueError, match="is NaN"), np.errstate(invalid="ignore"):
+                match_query(q2d, qdep, FakeRegistry(rows), th, mode)
+            continue
+        got = match_query(q2d, qdep, FakeRegistry(rows), th, mode)
+        assert [(r.record_id, r.d_2d, r.d_depth, r.d_fused, r.decision) for r in got] == brute_match(
+            q2d, qdep, rows, th.t_2d, th.t_depth, th.t_fusion, gamma, mode)

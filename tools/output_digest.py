@@ -8,7 +8,16 @@ fixed synthetic clips, in this order:
 - per channel, the ``normalize_clip`` planes and picks and the
   ``extract_feature`` values,
 - the frames of all 26 ``attack_catalog`` attacks on each channel,
-- the left and right ``synthesize_clip`` views at baselines 0.05 and 0.07.
+- the left and right ``synthesize_clip`` views at baselines 0.05 and 0.07;
+
+then, over one fixed in-memory registry of 300 z-scored records (more than
+``fusion.BLOCK_ROWS``, so a query crosses a block boundary) holding exact
+duplicates under other ids and all-zero features:
+
+- the ``calibration_report`` rows at targets 0.01 and 0.1,
+- ``match_query`` in both modes for four queries (a stored record, a
+  near-duplicate of one, all zeros and an unrelated one) at the thresholds
+  calibrated at 0.1, at 0 and at +inf: ids, decisions and distance bytes.
 
 The clips are ``corpus.make_clip`` pairs, the two wide ones cut to their
 first rows: gray 96x96 with 64 frames, colour 57x57 with 30, gray 24x320 with
@@ -31,10 +40,29 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 # (seed, frames, height, width, colour) of the four clips
 CLIPS = ((1, 64, 96, 96, False), (2, 30, 57, 57, True), (3, 12, 24, 320, False), (4, 9, 33, 401, True))
 BASELINES = (0.05, 0.07)
+RECORDS = 300
+TARGETS = (0.01, 0.1)
+
+
+def registry_rows(np):
+    """(id, fn_2d, fn_depth) of the fixed registry, in registry order."""
+    rng = np.random.default_rng(20)
+
+    def zvec():
+        v = rng.normal(size=1600)
+        return (v - v.mean()) / v.std(ddof=1)
+
+    rows = [(f"rec{i:03d}", zvec(), zvec()) for i in range(RECORDS)]
+    for copy, source in ((10, 3), (150, 40), (299, 200), (257, 256)):  # exact duplicates
+        rows[copy] = (rows[copy][0], rows[source][1].copy(), rows[source][2].copy())
+    rows[77] = (rows[77][0], np.zeros(1600), rows[77][2])
+    rows[78] = (rows[78][0], np.zeros(1600), np.zeros(1600))
+    return rows
 
 
 def digest() -> str:
@@ -46,6 +74,7 @@ def digest() -> str:
     from zw3d.dibr import BaselineConfig, synthesize_clip
     from zw3d.features import extract_feature
     from zw3d.frameio import FrameSequence, normalize_clip
+    from zw3d.fusion import MODES, Thresholds, calibration_report, match_query
 
     h = hashlib.sha256()
 
@@ -69,6 +98,22 @@ def digest() -> str:
         for baseline in BASELINES:
             for view in synthesize_clip(*pair, BaselineConfig(baseline_fraction=baseline)):
                 add(*view.frames)
+
+    rows = registry_rows(np)
+    db = SimpleNamespace(iterate_features=lambda: iter(rows))
+    for target in TARGETS:
+        th, report = calibration_report(db, target_pfp=target)
+        h.update(repr([(r["threshold"], r["target_pfp"]) for r in report]).encode())
+        add(np.array([(r["value"], r["realized_pfp"]) for r in report]))
+    near = rows[5][1].copy(), rows[5][2].copy()
+    near[0][9] += 1e-9
+    queries = (rows[200][1:], near, (np.zeros(1600), np.zeros(1600)), (rows[1][1], rows[2][2]))
+    for t in (th, Thresholds(0.0, 0.0, 0.0), Thresholds(np.inf, np.inf, np.inf)):
+        for query in queries:
+            for mode in MODES:
+                results = match_query(*query, db, t, mode)
+                h.update(repr([(r.record_id, r.decision, r.mode) for r in results]).encode())
+                add(np.array([(r.d_2d, r.d_depth, r.d_fused) for r in results]).reshape(-1, 3))
     return h.hexdigest()
 
 
