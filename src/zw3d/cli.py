@@ -40,6 +40,7 @@ from .registry import (
     Registry,
     RegistryError,
     UnknownIdError,
+    encode_record,
 )
 from .shares import (
     binarize_feature,
@@ -131,13 +132,13 @@ def _thresholds(args, config: dict) -> Thresholds:
 
 def cmd_register(args, config) -> int:
     fn2d, fndep = _clip_features(args.clip_2d, args.clip_depth)
-    w2d = load_watermark(args.watermark_2d)
-    wdep = load_watermark(args.watermark_depth)
-    o2d = build_ownership_share(build_master_share(rearrange(binarize_feature(fn2d))), w2d)
-    odep = build_ownership_share(build_master_share(rearrange(binarize_feature(fndep))), wdep)
+    w2d, wdep = load_watermark(args.watermark_2d), load_watermark(args.watermark_depth)
+    o2d, odep = (build_ownership_share(build_master_share(rearrange(binarize_feature(fn))), w)
+                 for fn, w in ((fn2d, w2d), (fndep, wdep)))
     rec = RegistrationRecord(args.id, fn2d.values, fndep.values, o2d, odep, w2d, wdep)
+    payload = encode_record(rec, not args.no_store_watermarks)  # a refused record makes no file
     with Registry(args.db, "a") as db:
-        count = db.register(rec, store_watermarks=not args.no_store_watermarks)
+        count = db.register(payload)
     print(count)
     return EXIT_OK
 
@@ -279,21 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("register", help="extract features, build shares, append to the registry")
+    clips = argparse.ArgumentParser(add_help=False)
+    clips.add_argument("--clip-2d", required=True)
+    clips.add_argument("--clip-depth", required=True)
+
+    p = sub.add_parser("register", parents=[clips], help="extract features, build shares, append to the registry")
     p.add_argument("--db", required=True)
     p.add_argument("--id", required=True)
-    p.add_argument("--clip-2d", required=True)
-    p.add_argument("--clip-depth", required=True)
     p.add_argument("--watermark-2d", required=True)
     p.add_argument("--watermark-depth", required=True)
     p.add_argument("--no-store-watermarks", action="store_true",
                    help="zero the stored watermark fields (disables BER evaluation)")
     p.set_defaults(fn=cmd_register)
 
-    retrieval = argparse.ArgumentParser(add_help=False)
+    retrieval = argparse.ArgumentParser(add_help=False, parents=[clips])
     retrieval.add_argument("--db", required=True)
-    retrieval.add_argument("--clip-2d", required=True)
-    retrieval.add_argument("--clip-depth", required=True)
     retrieval.add_argument("--mode", choices=MODES, default="independent")
     retrieval.add_argument("--thresholds", help="CSV written by calibrate")
     retrieval.add_argument("--t-2d", dest="t_2d", type=float)
@@ -322,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help=f"seed for {'/'.join(STOCHASTIC_FAMILIES)}")
     p.set_defaults(fn=cmd_attack)
 
-    p = sub.add_parser("dibr", help="synthesize left/right views at one or more baselines")
-    p.add_argument("--clip-2d", required=True)
-    p.add_argument("--clip-depth", required=True)
+    p = sub.add_parser("dibr", parents=[clips], help="synthesize left/right views at one or more baselines")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--baseline", type=float, action="append", required=True,
                    help="fraction of frame width; repeatable")

@@ -3,18 +3,18 @@
 Two clips are compared channel-wise (2D frame features vs depth features) by
 the normalized squared distance ``d(a, b) = ||a - b||^2 / n``. The two
 channel scores can be fused by an attention-style combiner that leans toward
-the stronger (smaller) score while staying strictly monotone in both
-arguments; the same combiner serves both distances and bit error rates.
-Matching against the registry is flexible: either channel may match
-independently against its own threshold, or the fused score is held against a
-fusion threshold.
+the stronger (smaller) score; ``fuse_scores`` gives its shape for each gamma.
+The same combiner serves both distances and bit error rates. Matching
+against the registry is flexible: either channel may match independently
+against its own threshold, or the fused score is held against a fusion
+threshold.
 
 A query scores every record exactly, in blocks of ``BLOCK_ROWS``, with the
 row kernel of ``feature_distance``. Calibration takes one Gram matrix
-``F F^T`` per channel (``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``) and
-rescores exactly every pair whose Gram distance, moved by the error bound of
-``_gram_eps``, could be a quantile node or cross a threshold. So both return
-exactly what scoring every record and pair with ``feature_distance`` returns.
+``F F^T`` per channel (``||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b``), gives
+each score (fused ones too) one error bound, and rescores exactly every pair
+whose score could, within it, be a quantile node or cross a threshold. So
+both return what ``feature_distance`` and ``fuse_scores`` give on every pair.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ GAMMA = 0.1  # default fusion gamma
 TARGET_PFP = 0.01  # default calibration target for the false-positive fraction
 BLOCK_ROWS = 256  # records per scored block in match_query
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
+_SQ_NORM_MAX = np.finfo(np.float64).max / 8  # below it, no Gram or exact pair distance overflows
 
 
 @dataclass
@@ -107,28 +108,32 @@ def _fuse(s1, s2, gamma: float):
     return np.where((s1 <= 0) | (s2 <= 0), 0.0, fused)
 
 
-def _fused_bound(a, b, gamma: float, side: int):
-    """A bound on the computed ``fuse_scores`` of any pair of nonnegative
-    scores within the given ones: the lower bound (``side`` -1) at the
-    scores' lower ends, the upper bound (``side`` +1) at their upper ends.
+def _fused_eps(fused: np.ndarray, eps_2d: float, eps_depth: float, gamma: float) -> float:
+    """A bound on the difference between ``fused``, the ``_fuse`` of score
+    pairs, and the ``_fuse`` of any pairs within ``eps_2d`` and ``eps_depth``.
 
-    The formula is increasing in each score, so its values at the ends bound
-    it. Each evaluation rounds by a relative (4 + 3 / (1 + gamma)) u at most
-    (the difference of the reciprocals is what 1 + gamma can amplify); the
-    slack covers the evaluation here and the one it bounds.
+    With k = 1 / (1 + gamma), a = (1 + k) / 2 and s1 <= s2, the formula is
+    f = 1 / (a / s1 + (1 - a) / s2) <= s1 max(1, 1 / a), so its partial
+    derivatives a (f / s1)^2 and (1 - a) (f / s2)^2 are at most max(a, 1 / a)
+    for every gamma > -1, monotone or not. Each evaluation rounds by a
+    relative (4 + 3k) u at most; (9 + 7k) u covers both, second order too.
     """
-    return _fuse(a, b, gamma) * (1.0 + side * 16.0 * _U * (1.0 + 1.0 / (1.0 + gamma)))
+    k = 1.0 / (1.0 + gamma)
+    a = (1.0 + k) / 2.0
+    spread = max(a, 1.0 / a) * (eps_2d + eps_depth)
+    return spread + (9.0 + 7.0 * k) * _U * (float(fused.max()) + spread)
 
 
 def fuse_scores(s1: float, s2: float, gamma: float = GAMMA) -> float:
     """Attention-based fusion of two nonnegative scores.
 
     With x1 the sum and x2 the absolute difference of the reciprocal scores,
-    the fused value is 1 / (0.5 * (x1 + x2 / (1 + gamma))). It is symmetric,
-    strictly increasing in each score, bounded between min and harmonic mean
-    (for gamma >= 0), and equals s when both scores are s. A zero score wins
-    outright (fused value 0): a perfect component match should dominate,
-    which is also the gamma-independent limit of the formula.
+    the fused value is 1 / (0.5 * (x1 + x2 / (1 + gamma))), symmetric, and s
+    when both scores are s. For gamma > 0 it is strictly increasing in each
+    score, between the min and the harmonic mean; gamma = 0 gives the min;
+    for -1 < gamma < 0 it is below the min and falls as the larger score
+    grows. A zero score wins outright (fused value 0): a perfect component
+    match should dominate, which is also the gamma-independent limit.
     """
     if s1 < 0 or s2 < 0:
         raise ValueError("scores must be nonnegative")
@@ -228,7 +233,7 @@ def zero_anchored_quantile(values, q: float) -> float:
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("no samples to calibrate on")
-    return _exact_quantile(x, x, x.__getitem__, q)[0]
+    return _exact_quantile(x, 0.0, x.__getitem__, q)[0]
 
 
 def _channel_pair_distances(f: np.ndarray) -> tuple[np.ndarray, float]:
@@ -247,28 +252,28 @@ def _channel_pair_distances(f: np.ndarray) -> tuple[np.ndarray, float]:
     return out, _gram_eps(n, sq.max())
 
 
-def _exact_quantile(lo: np.ndarray, hi: np.ndarray, exact, q: float) -> tuple[float, float]:
-    """Zero-anchored quantile t of n scores x known as lo <= x <= hi, and the
-    fraction of x strictly below t. This is the only code that reads order
+def _exact_quantile(x_hat: np.ndarray, eps: float, exact, q: float) -> tuple[float, float]:
+    """Zero-anchored quantile t of n scores x known as |x - x_hat| <= eps, and
+    the fraction of x strictly below t. This is the only code that reads order
     statistics: t interpolates x(i) and x(i + 1), i = int(q n), with x(0) = 0,
     or is the next float above x(n) when q n >= n.
 
     ``exact(idx)`` returns the exact scores of the entries ``idx``. The k-th
-    smallest x lies between the k-th smallest lo and the k-th smallest hi, so
-    an entry with hi below the first node's lower bound sits below it and one
-    with lo above the last node's upper bound sits above it. Only the entries
-    in between, and those whose interval holds t, are rescored. NaN bounds
-    raise ``ValueError``.
+    smallest x lies within eps of the k-th smallest x_hat, so an entry with
+    x_hat + eps below the first node's lower end sits below it and one with
+    x_hat - eps above the last node's upper end sits above it. Only the
+    entries in between, and those within eps of t, are rescored; rounding is
+    monotone, so the ends stay ends in floating point. NaN scores raise
+    ``ValueError``.
     """
-    if np.isnan(lo).any() or np.isnan(hi).any():
+    if np.isnan(x_hat).any():
         raise ValueError("scores must not be NaN")
-    n, p = lo.size, q * lo.size
+    n, p = x_hat.size, q * x_hat.size
     i = int(p)
     k1, k2 = min(max(i, 1), n), min(i + 1, n)  # the first and last node read
-    floor = np.partition(lo, k1 - 1)[k1 - 1]
-    ceiling = np.partition(hi, k2 - 1)[k2 - 1]
-    below = np.count_nonzero(hi < floor)
-    nodes = np.sort(exact(np.flatnonzero((hi >= floor) & (lo <= ceiling))))
+    floor, ceiling = np.partition(x_hat, (k1 - 1, k2 - 1))[[k1 - 1, k2 - 1]] + [-eps, eps]
+    below = np.count_nonzero(x_hat + eps < floor)
+    nodes = np.sort(exact(np.flatnonzero((x_hat + eps >= floor) & (x_hat - eps <= ceiling))))
 
     def x(k):  # the k-th smallest score, k1 <= k <= k2
         return nodes[k - 1 - below]
@@ -278,8 +283,8 @@ def _exact_quantile(lo: np.ndarray, hi: np.ndarray, exact, q: float) -> tuple[fl
     else:
         lower = x(i) if i else 0.0
         t = float(lower + (p - i) * (x(i + 1) - lower))
-    undecided = np.flatnonzero((lo < t) & (hi >= t))
-    count = int(np.count_nonzero(hi < t)) + int(np.count_nonzero(exact(undecided) < t))
+    undecided = np.flatnonzero((x_hat - eps < t) & (x_hat + eps >= t))
+    count = int(np.count_nonzero(x_hat + eps < t)) + int(np.count_nonzero(exact(undecided) < t))
     return t, count / n
 
 
@@ -290,17 +295,25 @@ def calibration_report(db, target_pfp: float = TARGET_PFP, gamma: float = GAMMA)
     score over all pairs of distinct records; at least 2 records are needed.
     The scan copies each record's two features out of its read buffer, so
     no buffer (with its shares and watermarks) outlives its record, and pair
-    distances come from one Gram matrix per channel. The pairs whose distance
-    could, within the Gram error bound, be a quantile node or fall on the
-    other side of a threshold are rescored with ``feature_distance`` (and
-    ``_fuse``, the array form of ``fuse_scores``), so thresholds and rates
-    are those of the exact distances of every pair.
+    distances come from one Gram matrix per channel. The pairs whose score
+    could, within its bound (``_gram_eps``, or ``_fused_eps`` when fused), be
+    a quantile node or fall on the other side of a threshold are rescored
+    with ``feature_distance`` and ``_fuse``, so thresholds and rates are
+    those of the exact scores of every pair. A record with a NaN or infinite
+    component, or a squared norm of ``_SQ_NORM_MAX`` or more, raises
+    ``ValueError`` naming it: its distances are not finite.
     """
     _check_quantile(target_pfp)
-    features = [np.array(row[1:], dtype=np.float64) for row in db.iterate_features()]
+    features = []
+    for record_id, *fns in db.iterate_features():
+        features.append(np.array(fns, dtype=np.float64))
+        if not (np.vecdot(features[-1], features[-1]) < _SQ_NORM_MAX).all():
+            raise ValueError(f"record {record_id!r} has a NaN, infinite or too large feature component")
     if len(features) < 2:
         raise ValueError("calibration needs at least 2 registered clips")
     dists, eps = zip(*(_channel_pair_distances(np.array([f[c] for f in features])) for c in (0, 1)))
+    scores = (*dists, _fuse(*dists, gamma))
+    bounds = (*eps, _fused_eps(scores[2], *eps, gamma))
     starts = np.concatenate([[0], np.cumsum(np.arange(len(features) - 1, 0, -1))])  # row i's first pair
 
     def exact(channel, idx):
@@ -309,18 +322,9 @@ def calibration_report(db, target_pfp: float = TARGET_PFP, gamma: float = GAMMA)
             return _fuse(exact(0, idx), exact(1, idx), gamma)
         rows = np.searchsorted(starts, idx, side="right") - 1
         pairs = zip(rows, idx - starts[rows] + rows + 1)
-        return np.array([feature_distance(features[i][channel], features[j][channel]) for i, j in pairs],
-                        dtype=np.float64)
+        return np.array([feature_distance(features[i][channel], features[j][channel]) for i, j in pairs])
 
-    def bound(channel, side):
-        """Lower (side -1) or upper (side +1) bounds on the scores of every pair."""
-        if channel == 2:
-            return _fused_bound(bound(0, side), bound(1, side), gamma, side)
-        return dists[channel] + side * eps[channel]
-
-    # one threshold's bounds at a time: each call's arrays are freed on return
-    results = [_exact_quantile(bound(c, -1), bound(c, +1), functools.partial(exact, c), target_pfp)
-               for c in range(3)]
+    results = [_exact_quantile(scores[c], bounds[c], functools.partial(exact, c), target_pfp) for c in range(3)]
     rows = [
         {"threshold": name, "value": value, "target_pfp": target_pfp, "realized_pfp": realized}
         for name, (value, realized) in zip(("t_2d", "t_depth", "t_fusion"), results)

@@ -98,7 +98,8 @@ def _unpack_bits(packed: np.ndarray, side: int) -> np.ndarray:
     return np.unpackbits(packed).reshape(side, side)
 
 
-def _encode_record(rec: RegistrationRecord, store_watermarks: bool) -> bytes:
+def encode_record(rec: RegistrationRecord, store_watermarks: bool = True) -> bytes:
+    """The bytes ``Registry.register`` appends; a bad record raises ``ValueError``."""
     idb = rec.record_id.encode("utf-8")
     if not idb or len(idb) > 0xFFFF:
         raise ValueError("record id must be 1..65535 UTF-8 bytes")
@@ -212,8 +213,8 @@ class Registry:
     def ids(self) -> list[str]:
         return list(self._index)
 
-    def register(self, rec: RegistrationRecord, store_watermarks: bool = True) -> int:
-        """Durably append one record; returns the new record count.
+    def register(self, rec: RegistrationRecord | bytes, store_watermarks: bool = True) -> int:
+        """Durably append one record (or its ``encode_record`` bytes); returns the new count.
 
         The record is fsynced before the header count that admits it is
         written, and the count is fsynced in turn.
@@ -221,16 +222,17 @@ class Registry:
         self._check_open()
         if self.mode != "a":
             raise RegistryError("registry opened read-only")
-        if rec.record_id in self._index:
-            raise DuplicateIdError(f"id already registered: {rec.record_id!r}")
-        payload = _encode_record(rec, store_watermarks)
+        payload = rec if isinstance(rec, bytes) else encode_record(rec, store_watermarks)
+        record_id = payload[_ID_LEN.size : _ID_LEN.size + _ID_LEN.unpack_from(payload)[0]].decode("utf-8")
+        if record_id in self._index:
+            raise DuplicateIdError(f"id already registered: {record_id!r}")
         offset = self._append_at
         self._pwrite(payload, offset)
         os.ftruncate(self._fd, offset + len(payload))
         os.fsync(self._fd)
         self._pwrite(_HEADER.pack(MAGIC, VERSION, len(self._index) + 1), 0)
         os.fsync(self._fd)
-        self._index[rec.record_id] = (offset, len(payload))
+        self._index[record_id] = (offset, len(payload))
         self._append_at = offset + len(payload)
         return len(self._index)
 

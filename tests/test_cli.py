@@ -552,8 +552,22 @@ def test_register_all_black_stored_watermark_exit_4(corpus, tmp_path):
                            "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
                            "--watermark-2d", clip / "watermark_2d.pbm", "--watermark-depth", black)
     assert code == 4 and "white bit" in err, err
-    with Registry(tmp_path / "x.zw3d", "r") as db:
-        assert len(db) == 0
+    assert not (tmp_path / "x.zw3d").exists()
+
+
+def test_refused_register_leaves_registry_byte_identical(corpus, registered, tmp_path):
+    clip = corpus / "clip000"
+    black = tmp_path / "black.pbm"
+    write_pbm(black, np.ones((40, 40), dtype=np.uint8))
+    db = tmp_path / "copy.zw3d"
+    shutil.copyfile(registered, db)
+    before = db.read_bytes()
+    for rid, watermark, want in (("new", black, 4), ("clip001", clip / "watermark_depth.pbm", 2)):
+        code, _, err = run_cli("register", "--db", db, "--id", rid,
+                               "--clip-2d", clip / "2d", "--clip-depth", clip / "depth",
+                               "--watermark-2d", clip / "watermark_2d.pbm", "--watermark-depth", watermark)
+        assert code == want, err
+        assert db.read_bytes() == before
 
 
 def test_identify_without_stored_watermarks_prints_no_ber(corpus, unstored, tmp_path):

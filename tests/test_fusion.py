@@ -114,6 +114,15 @@ def test_fusion_heterogeneity_monotonicity_bounds():
         assert abs(f - fuse_scores(s2, s1)) < 1e-15
 
 
+def test_fusion_shape_depends_on_the_sign_of_gamma():
+    # gamma > 0: increasing in each score; gamma = 0: min; gamma < 0: falls
+    # as the larger score grows, so it is not monotone
+    assert fuse_scores(1.0, 2.0, 0.5) < fuse_scores(1.0, 4.0, 0.5)
+    assert fuse_scores(1.0, 2.0, 0.0) == fuse_scores(1.0, 4.0, 0.0) == 1.0
+    assert fuse_scores(1.0, 2.0, -0.5) == pytest.approx(0.8)
+    assert fuse_scores(1.0, 4.0, -0.5) == pytest.approx(8 / 11)
+
+
 def test_fusion_of_bit_error_rates():
     assert fuse_scores(0.0, 0.2) == 0.0
     assert abs(fuse_scores(0.3, 0.3) - 0.3) < 1e-12
@@ -271,6 +280,20 @@ def test_nan_scores_rejected_by_quantile_and_calibration():
     db, rows = make_db(rng, n=4)
     rows[2][1][3] = np.nan
     with pytest.raises(ValueError, match="NaN"):
+        calibration_report(db)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, 1e160])
+def test_calibration_names_a_record_with_an_infinite_component(bad):
+    # its distance to every other record is infinite (1e160 squared
+    # overflows), where the Gram form would give inf - inf: calibration
+    # names the first such record instead
+    rng = np.random.default_rng(15)
+    db, rows = make_db(rng, n=4)
+    rows[2][1][3] = bad
+    rows[3][2][0] = bad
+    with pytest.raises(ValueError, match="record 'clip2' has a NaN, infinite or too large"), \
+            np.errstate(over="ignore"):
         calibration_report(db)
 
 
@@ -547,3 +570,85 @@ def test_match_equals_brute_force_on_generated_registries(monkeypatch, data, cas
         got = match_query(q2d, qdep, FakeRegistry(rows), th, mode)
         assert [(r.record_id, r.d_2d, r.d_depth, r.d_fused, r.decision) for r in got] == brute_match(
             q2d, qdep, rows, th.t_2d, th.t_depth, th.t_fusion, gamma, mode)
+
+
+# nonzero components of at least 1e-3 keep every product and pair distance a
+# normal number: the Gram error bound assumes no underflow, and ``_fuse``
+# reads two scores below 1 / DBL_MAX as inf - inf, NaN
+NORMAL_COMPONENTS = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5]) | st.floats(1e-3, 4) | st.floats(-4, -1e-3)
+
+
+def normal_feature(n):
+    return st.builds(np.zeros, st.just(n)) | st.lists(NORMAL_COMPONENTS, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def calibration_registries(draw):
+    """Rows of 2-7 finite records of length 1-5: drawn and all-zero features,
+    exact duplicates of earlier records, and near-duplicates with one
+    component moved by a relative 1e-9 or so, far inside the Gram error
+    bound. Each channel is scaled by 1e-3, 1 or 1e3. In a mirrored registry
+    each record's depth feature is its 2D one, so the two scores of a pair
+    are equal: there, fusion is most sensitive to them."""
+    n = draw(st.integers(1, 5))
+    mirrored = draw(st.booleans())
+    scales = [draw(st.sampled_from([1.0, 1e-3, 1e3]))] * 2 if mirrored else \
+        [draw(st.sampled_from([1.0, 1e-3, 1e3])) for _ in range(2)]
+    rows = []
+    for i in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(["new", "new", "duplicate", "near"])) if rows else "new"
+        if kind == "new":
+            a = draw(normal_feature(n))
+            b = a.copy() if mirrored else draw(normal_feature(n))
+            a, b = a * scales[0], b * scales[1]
+        else:
+            _, a, b = draw(st.sampled_from(rows))
+            a, b = a.copy(), b.copy()
+        if kind == "near":
+            k, move = draw(st.integers(0, n - 1)), draw(st.sampled_from([1e-9, -1e-9, 2e-9]))
+            for f, scale in zip((a, b), scales):
+                f[k] += (abs(f[k]) or scale) * move
+        rows.append((f"r{i}", a, b))
+    return rows
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), rows=calibration_registries(), gamma=st.sampled_from([-0.9, -0.5, 0.0, 0.1, 3.0]),
+       worst=st.booleans())
+def test_calibration_equals_brute_force_on_generated_registries(monkeypatch, data, rows, gamma, worst):
+    # a target k / P puts the threshold on the k-th smallest of P pair scores
+    pairs = len(rows) * (len(rows) - 1) // 2
+    q = data.draw(st.sampled_from([0.0, 1e-9, 0.01, 0.5, 1.0]) | st.integers(0, pairs).map(lambda k: k / pairs))
+    with monkeypatch.context() as patch:
+        if worst:
+            # the Gram form seldom errs by more than a tenth of its bound: put
+            # each distance 0.9 of the bound from the exact one instead (the
+            # last tenth absorbs the rounding of the move), the two channels of
+            # a pair in opposite directions, which moves the fused score most
+            # where the two scores are equal
+            moves = np.array(data.draw(st.lists(st.sampled_from([0.9, -0.9]), min_size=pairs, max_size=pairs)))
+            channels = iter((moves, -moves))
+
+            def moved_pair_distances(f):
+                eps = _channel_pair_distances(f)[1]
+                exact = [brute_distance(f[i], f[j]) for i in range(len(f)) for j in range(i + 1, len(f))]
+                return np.maximum(np.array(exact) + next(channels) * eps, 0.0), eps
+
+            patch.setattr(fusion, "_channel_pair_distances", moved_pair_distances)
+        assert_calibration_is_exact(rows, q, gamma)
+
+
+SCORES = st.sampled_from([0.0, 1.0]) | st.floats(1e-9, 1e3)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(scores=st.tuples(SCORES, SCORES) | SCORES.map(lambda s: (s, s)),
+       eps=st.tuples(*[st.sampled_from([0.0]) | st.floats(1e-12, 10.0)] * 2),
+       moves=st.tuples(*[st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)] * 2),
+       gamma=st.sampled_from([-0.99, -0.9, -0.5, 0.0, 0.1, 1.0, 3.0, 10.0]) | st.floats(-0.99, 10.0))
+def test_fused_eps_bounds_the_fusion_of_moved_scores(scores, eps, moves, gamma):
+    # equal scores with opposite moves reach the Lipschitz factor max(a, 1/a)
+    fused = fusion._fuse(*scores, gamma)
+    moved = [max(s + m * e, 0.0) for s, m, e in zip(scores, moves, eps)]
+    assert abs(fusion._fuse(*moved, gamma) - fused) <= fusion._fused_eps(fused, *eps, gamma)

@@ -14,7 +14,8 @@ then, over one fixed in-memory registry of 300 z-scored records (more than
 ``fusion.BLOCK_ROWS``, so a query crosses a block boundary) holding exact
 duplicates under other ids and all-zero features:
 
-- the ``calibration_report`` rows at targets 0.01 and 0.1,
+- the ``calibration_report`` rows at targets 0.01 and 0.1, and at target
+  0.1 with gamma -0.5 and 3.0 (the fusion is not monotone for gamma < 0),
 - ``match_query`` in both modes for four queries (a stored record, a
   near-duplicate of one, all zeros and an unrelated one) at the thresholds
   calibrated at 0.1, at 0 and at +inf: ids, decisions and distance bytes.
@@ -47,6 +48,7 @@ CLIPS = ((1, 64, 96, 96, False), (2, 30, 57, 57, True), (3, 12, 24, 320, False),
 BASELINES = (0.05, 0.07)
 RECORDS = 300
 TARGETS = (0.01, 0.1)
+GAMMAS = (-0.5, 3.0)  # besides the default, at the last target
 
 
 def registry_rows(np):
@@ -105,6 +107,8 @@ def digest() -> str:
         th, report = calibration_report(db, target_pfp=target)
         h.update(repr([(r["threshold"], r["target_pfp"]) for r in report]).encode())
         add(np.array([(r["value"], r["realized_pfp"]) for r in report]))
+    for gamma in GAMMAS:
+        add(np.array([(r["value"], r["realized_pfp"]) for r in calibration_report(db, TARGETS[-1], gamma)[1]]))
     near = rows[5][1].copy(), rows[5][2].copy()
     near[0][9] += 1e-9
     queries = (rows[200][1:], near, (np.zeros(1600), np.zeros(1600)), (rows[1][1], rows[2][2]))
