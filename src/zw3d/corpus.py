@@ -18,6 +18,16 @@ from .frameio import FrameSequence, save_clip, to_u8
 from .shares import WATERMARK_SIDE, save_watermark
 
 
+# frames per pass of the generators' per-pixel temporaries: the volume they
+# write is the only whole-clip float64 array
+_CHUNK = 8
+
+
+def _chunks(frames: int):
+    """``(start, stop)`` of the ``_CHUNK``-frame passes over ``frames``."""
+    return ((a, min(a + _CHUNK, frames)) for a in range(0, frames, _CHUNK))
+
+
 def _grid(size: int):
     """The pixel grid on [0, 1] as separable axes, y a (size, 1) column and x
     a (1, size) row: against time as (F, 1, 1), an offset like ``xx - x(t)``
@@ -30,7 +40,7 @@ def _texture_volume(rng: np.random.Generator, frames: int, size: int) -> np.ndar
     yy, xx = _grid(size)
     t = np.arange(frames, dtype=np.float64)[:, None, None]
     vol = np.zeros((frames, size, size), dtype=np.float64)
-    buf = np.empty_like(vol)
+    buf = np.empty((min(_CHUNK, frames), size, size))
 
     for _ in range(5):
         theta = rng.uniform(0, np.pi)
@@ -39,24 +49,28 @@ def _texture_volume(rng: np.random.Generator, frames: int, size: int) -> np.ndar
         drift = rng.uniform(-0.12, 0.12)
         amp = rng.uniform(0.5, 1.0)
         carrier = cycles * 2 * np.pi * (np.cos(theta) * xx + np.sin(theta) * yy)
-        np.add(carrier + phase, drift * t, out=buf)
-        np.sin(buf, out=buf)
-        buf *= amp
-        vol += buf
+        for a, b in _chunks(frames):
+            part = buf[: b - a]
+            np.add(carrier + phase, drift * t[a:b], out=part)
+            np.sin(part, out=part)
+            part *= amp
+            vol[a:b] += part
 
     for _ in range(3):
         cx, cy = rng.uniform(0.2, 0.8, size=2)
         radius = rng.uniform(0.08, 0.25)
         vx, vy = rng.uniform(-0.002, 0.002, size=2)
         amp = rng.uniform(-1.2, 1.2)
-        dx = xx - (cx + vx * t)
-        dy = yy - (cy + vy * t)
-        np.add(dx * dx, dy * dy, out=buf)
-        np.negative(buf, out=buf)
-        buf /= 2 * radius * radius
-        np.exp(buf, out=buf)
-        buf *= amp
-        vol += buf
+        for a, b in _chunks(frames):
+            part = buf[: b - a]
+            dx = xx - (cx + vx * t[a:b])
+            dy = yy - (cy + vy * t[a:b])
+            np.add(dx * dx, dy * dy, out=part)
+            np.negative(part, out=part)
+            part /= 2 * radius * radius
+            np.exp(part, out=part)
+            part *= amp
+            vol[a:b] += part
 
     return vol
 
@@ -73,7 +87,7 @@ def _depth_volume(rng: np.random.Generator, frames: int, size: int) -> np.ndarra
     gx, gy = rng.uniform(-0.25, 0.25, size=2)
     backdrop = 0.35 + gx * (xx - 0.5) + gy * (yy - 0.5)
     vol = np.broadcast_to(backdrop, (frames, size, size)).copy()
-    u, v = np.empty_like(vol), np.empty_like(vol)
+    u, v = np.empty((2, min(_CHUNK, frames), size, size))
 
     objects = []
     for _ in range(int(rng.integers(3, 6))):
@@ -89,27 +103,33 @@ def _depth_volume(rng: np.random.Generator, frames: int, size: int) -> np.ndarra
         cx, cy = obj["center"]
         vx, vy = obj["velocity"]
         ct, st = np.cos(obj["theta"]), np.sin(obj["theta"])
-        dx = xx - (cx + vx * t)
-        dy = yy - (cy + vy * t)
-        np.add(ct * dx, st * dy, out=u)
-        u /= obj["axes"][0]
-        np.add(-st * dx, ct * dy, out=v)
-        v /= obj["axes"][1]
-        u *= u
-        v *= v
-        u += v
-        np.copyto(vol, obj["depth"], where=u <= 1.0)
+        for a, b in _chunks(frames):
+            pu, pv = u[: b - a], v[: b - a]
+            dx = xx - (cx + vx * t[a:b])
+            dy = yy - (cy + vy * t[a:b])
+            np.add(ct * dx, st * dy, out=pu)
+            pu /= obj["axes"][0]
+            np.add(-st * dx, ct * dy, out=pv)
+            pv /= obj["axes"][1]
+            pu *= pu
+            pv *= pv
+            pu += pv
+            np.copyto(vol[a:b], obj["depth"], where=pu <= 1.0)
 
     return vol
 
 
 def _to_uint8(vol: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``vol`` scaled from its range to [lo, hi], in place, as uint8."""
     vmin, vmax = vol.min(), vol.max()
     if vmax - vmin < 1e-12:
-        scaled = np.full_like(vol, (lo + hi) / 2.0)
+        vol.fill((lo + hi) / 2.0)
     else:
-        scaled = lo + (vol - vmin) / (vmax - vmin) * (hi - lo)
-    return to_u8(scaled)
+        vol -= vmin
+        vol /= vmax - vmin
+        vol *= hi - lo
+        vol += lo
+    return to_u8(vol)
 
 
 def _colorize(gray: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -130,7 +150,9 @@ def make_clip(seed: int, frames: int = 64, size: int = 96, color: bool = False):
     _at_least_one(frames=frames, size=size)
     rng = np.random.default_rng(seed)
     tex = _to_uint8(_texture_volume(rng, frames, size), 25.0, 230.0)
-    dep = to_u8(_depth_volume(rng, frames, size) * 255)
+    dep = _depth_volume(rng, frames, size)
+    dep *= 255
+    dep = to_u8(dep)
     if color:
         tex = _colorize(tex, rng)
     frames_2d = [tex[k] for k in range(frames)]

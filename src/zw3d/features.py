@@ -20,12 +20,17 @@ case), and a ring's weighted sum is a product of its run with the reference
 image, split into runs short enough to stay on one OpenBLAS thread.
 
 A clip arrives frame-major (``frameio.NormalizedClip``: the distinct source
-planes plus the slot-to-plane map ``picks``). Deviation, arctan and ring sums
-run once per plane, in fixed blocks of 8 planes on the worker threads that
-``normalize_clip`` uses too (``frameio._run_blocks``, which holds the block
-size and the worker count), each with a buffer of 8 x pixels, and only the
-ring centroids are copied out to the 100 frames. A raw frame-last volume is
-the case of one plane per frame.
+planes plus the slot-to-plane map ``picks``), with its planes made on demand.
+Extraction streams them in two phases on the worker threads of
+``frameio._run_blocks`` (which holds the block size and the worker count).
+First it makes only the planes the reference image samples, at most 20, and
+sums them. Then it walks the planes in fixed blocks of 8: a worker makes
+the block's other planes, 4 at a time, into its own scratch, gathers each
+plane's pixels and takes their deviation as soon as the plane is made, into
+a buffer of 8 x pixels, and then runs arctan and ring sums on the block. So
+an extraction holds the sampled planes and 4 planes per worker, never the
+whole stack, and only the ring centroids are copied out to the 100 frames.
+A raw frame-last volume is the case of one stored plane per frame.
 """
 
 from __future__ import annotations
@@ -93,37 +98,38 @@ def feature_values(fn: FeatureVector | np.ndarray) -> np.ndarray:
     return fn.values if isinstance(fn, FeatureVector) else np.asarray(fn, dtype=np.float64)
 
 
-def _frame_major(clip: NormalizedClip | np.ndarray, params: FeatureParams) -> tuple[np.ndarray, np.ndarray]:
-    """A clip's ``(planes, picks)``: a ``NormalizedClip``'s own, or a raw
-    frame-last ``(size, size, frames)`` volume copied to frame-major planes,
-    one per frame (``picks = arange(frames)``)."""
-    if isinstance(clip, NormalizedClip):
-        planes, picks = clip.planes, clip.picks
-    else:
-        volume = np.asarray(clip, dtype=np.float64)
-        planes = np.ascontiguousarray(np.moveaxis(volume, -1, 0))
-        picks = np.arange(len(planes))
-    if planes.shape[1:] != (params.size, params.size) or len(picks) != params.frames:
-        raise ValueError(f"clip of {len(picks)} frames of {planes.shape[1:]} does not match params")
-    return planes, picks
+def _frame_major(clip: NormalizedClip | np.ndarray, params: FeatureParams) -> NormalizedClip:
+    """A ``NormalizedClip`` as it is, or a raw frame-last ``(size, size,
+    frames)`` volume as the clip of its frame-major copy, one plane per frame
+    (``picks = arange(frames)``)."""
+    if not isinstance(clip, NormalizedClip):
+        planes = np.ascontiguousarray(np.moveaxis(np.asarray(clip, dtype=np.float64), -1, 0))
+        clip = NormalizedClip._trusted(planes, np.arange(len(planes)))
+    if clip.shape[1:] != (params.size, params.size) or len(clip.picks) != params.frames:
+        raise ValueError(f"clip of {len(clip.picks)} frames of {clip.shape[1:]} does not match params")
+    return clip
 
 
-def _tiri(planes: np.ndarray, picks: np.ndarray, params: FeatureParams) -> np.ndarray:
+def _tiri(clip: NormalizedClip, params: FeatureParams, scratch: list) -> tuple[np.ndarray, dict]:
     """The mean of the sampled frames' planes, summed in frame order in place
-    (the same bits as ``mean(axis=0)`` of their stack, without the copy)."""
+    (the same bits as ``mean(axis=0)`` of their stack, without the copy), and
+    those planes by plane index, each made once (``_planes_at``)."""
     s = params.tiri_stride
-    sampled = picks[s - 1 : s * params.tiri_samples : s]
-    tiri = planes[sampled[0]].copy()
+    sampled = clip.picks[s - 1 : s * params.tiri_samples : s]
+    held = np.unique(sampled)
+    made = dict(zip(held.tolist(), clip._planes_at(held, scratch)))
+    tiri = made[sampled[0]].copy()
     for k in sampled[1:]:
-        tiri += planes[k]
+        tiri += made[k]
     tiri /= len(sampled)
-    return tiri
+    return tiri, made
 
 
 def compute_tiri(clip: NormalizedClip | np.ndarray, params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
     """Temporally informative representative image of a clip: the mean of
     frames k = stride*m (1-based) for m = 1..M."""
-    return _tiri(*_frame_major(clip, params), params)
+    clip = _frame_major(clip, params)
+    return _tiri(clip, params, clip._scratch(_block_workers(len(clip))))[0]
 
 
 def ring_labels(params: FeatureParams = DEFAULT_PARAMS) -> np.ndarray:
@@ -186,19 +192,28 @@ def extract_feature(
     weight). The frame-major centroids are z-scored. A pixel whose reference
     is 0 has weight 0, so its arctan value never counts.
 
-    The per-pixel stages run once per distinct plane, not per frame, over
-    blocks of ``_BLOCK`` planes: the ring-valid interior pixels are gathered
-    in ring order (``_ring_plan``) into one ``(_BLOCK, pixels)`` buffer, the
-    ratio is a product with ``1/tiri`` (0 where the reference is 0), and each
-    ring's weighted sum is a product of its pixel run with ``tiri``, split
-    into runs of at most ``_RUN`` pixels. Blocks go round-robin to the worker
-    threads of ``frameio._run_blocks``, each with its own buffers (one worker
-    runs inline); a block's arithmetic is the same whichever thread runs it,
-    so the values do not depend on the worker count. The planes' centroids
-    are then copied to the frames that pick them.
+    The planes are streamed in two phases, both on the worker threads of
+    ``frameio._run_blocks`` with one producer scratch per worker
+    (``NormalizedClip._scratch``). Phase 1 (``_tiri``) makes only the
+    distinct sampled planes and sums them into the reference image. Phase 2
+    walks all planes in blocks of ``_BLOCK``: a worker streams the planes of
+    its block that phase 1 did not make through its scratch
+    (``NormalizedClip._stream``), and as each plane comes it gathers the
+    plane's ring-valid interior pixels in ring order (``_ring_plan``) into a
+    row of one ``(_BLOCK, pixels)`` buffer and takes the row's deviation.
+    The ratio is a product with ``1/tiri`` (0 where the reference is 0), and
+    each ring's weighted sum is a product of its pixel run with ``tiri``,
+    split into runs of at most ``_RUN`` pixels. So the
+    per-pixel stages run once per distinct plane, not per frame, and the
+    blocks, and with them the ring-sum products, are the same whatever phase
+    1 made. A block's arithmetic is the same whichever thread runs it (one
+    worker runs inline), so the values do not depend on the worker count.
+    The planes' centroids are then copied to the frames that pick them.
     """
-    planes, picks = _frame_major(clip, params)
-    tiri = _tiri(planes, picks, params)
+    clip = _frame_major(clip, params)
+    workers = _block_workers(len(clip))
+    scratch = clip._scratch(workers)
+    tiri, made = _tiri(clip, params, scratch)
     flat, bounds = _ring_plan(params)
 
     shifts = (
@@ -207,10 +222,16 @@ def extract_feature(
         tiri[2:, :-2], tiri[2:, 1:-1], tiri[2:, 2:],
     )
     full = np.zeros_like(tiri)
-    full[1:-1, 1:-1] = np.maximum.reduce(shifts)
-    nmax = full.ravel()[flat]
-    full[1:-1, 1:-1] = np.minimum.reduce(shifts)
-    nmin = full.ravel()[flat]
+    inner = full[1:-1, 1:-1]
+
+    def neighbourhood(extreme: np.ufunc) -> np.ndarray:
+        # pairwise in place: no (8, size - 2, size - 2) stack of the shifts
+        extreme(shifts[0], shifts[1], out=inner)
+        for shift in shifts[2:]:
+            extreme(inner, shift, out=inner)
+        return full.ravel()[flat]
+
+    nmax, nmin = neighbourhood(np.maximum), neighbourhood(np.minimum)
     t = tiri.ravel()[flat]
     inv_t = np.zeros_like(t)
     np.divide(1.0, t, out=inv_t, where=t != 0)
@@ -218,32 +239,32 @@ def extract_feature(
             for n, (lo, stop) in enumerate(zip(bounds[:-1], bounds[1:]))
             for a in range(lo, stop, _RUN)]
 
-    pixels = planes.reshape(len(planes), -1)
-    num = np.zeros((len(planes), params.ring_count))
-    workers = _block_workers(len(planes))
+    num = np.zeros((len(clip), params.ring_count))
     # every worker's block buffer in one array, allocated here: each sits at
     # the same alignment, so the products repeat exactly in any worker
-    bufs = np.empty((workers, min(_BLOCK, len(planes)), len(flat)))
+    bufs = np.empty((workers, min(_BLOCK, len(clip)), len(flat)))
     # the deviation runs row by row, so nmax - r needs one row per worker
     spans = np.empty((workers, len(flat)))
 
-    def work(w: int, start: int) -> None:
-        block = pixels[start : start + _BLOCK]
-        # flat is in range; mode="clip" skips the buffered, bounds-checked copy
-        dev = np.take(block, flat, axis=1, out=bufs[w, : len(block)], mode="clip")
-        for row in dev:
+    def work(w: int, start: int, stop: int) -> None:
+        dev = bufs[w, : stop - start]
+        fresh = clip._stream([k for k in range(start, stop) if k not in made], scratch[w])
+        for k, row in zip(range(start, stop), dev):
+            plane = made[k] if k in made else next(fresh)
+            # flat is in range; mode="clip" skips the buffered, bounds-checked copy
+            np.take(plane.reshape(-1), flat, out=row, mode="clip")
             np.subtract(nmax, row, out=spans[w])
             np.subtract(row, nmin, out=row)
             np.maximum(spans[w], row, out=row)
         np.multiply(dev, inv_t, out=dev)
         np.arctan(dev, out=dev)
-        sums = num[start : start + len(block)]
+        sums = num[start:stop]
         for n, a, b in runs:
             sums[:, n] += dev[:, a:b] @ t[a:b]
 
-    _run_blocks(len(planes), workers, work)
+    _run_blocks(len(clip), workers, work)
     den = np.array([t[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
     v = np.zeros_like(num)
     np.divide(num, den, out=v, where=den > 0)
 
-    return FeatureVector(values=zscore(v[picks].ravel()))
+    return FeatureVector(values=zscore(v[clip.picks].ravel()))

@@ -4,27 +4,33 @@ Clips live on disk as directories of binary netpbm frames (PGM ``P5`` for
 grayscale/depth, PPM ``P6`` for color), named ``frame_%06d.pgm|ppm`` starting
 at 000000 with no gaps. Every clip is normalized to 100 temporal
 slots of 320x320 luminance in [0, 1] before feature extraction, so the rest
-of the pipeline never sees the source geometry. The clip is stored
-frame-major, as the distinct picked source frames plus a slot-to-plane map,
-so a short clip is resampled (and later scored) once per source frame, not
-once per slot. The spatial resampling (bilinear resize, then a 3x3 Gaussian)
-is one linear operator per axis, applied as small products per band and axis,
-each short enough to stay on one OpenBLAS thread. ``_operator_bands`` is the
-one builder of such banded operators, for this resampling and for the
-``gb``/``af`` attack filters alike: it cuts an operator into bands of rows
-restricted to their nonzero columns and caches one block per band, which
-both multiply along x through the same transposed view. Likewise
-``gaussian_taps`` is the one Gaussian-kernel builder (the 3x3 smoothing here,
-the ``gb`` blur there) and ``to_u8`` the one rounding of computed pixels back
-to uint8 frames, for the attacks and the synthetic corpus. The distinct picked
-frames go in blocks of 8 (``_BLOCK``), handed round-robin to up to two threads
-(``_WORKERS``, ``_run_blocks``), the same hand-out ``features.extract_feature``
-uses; a y-band is one stacked product over a whole block, so the threads make
-few, long calls rather than many short ones that would trade the interpreter
-lock back and forth. ``normalize_clip`` clips each output band to [0, 1] as it
-is written and hands the planes to ``NormalizedClip`` through a trusted
-constructor that skips the field checks; a clip built by hand is checked in
-full.
+of the pipeline never sees the source geometry. The clip is frame-major, the
+distinct picked source frames plus a slot-to-plane map, so a short clip is
+resampled (and later scored) once per source frame, not once per slot. The
+spatial resampling (bilinear resize, then a 3x3 Gaussian) is one linear
+operator per axis, applied as small products per band and axis, each short
+enough to stay on one OpenBLAS thread. ``_operator_bands`` is the one builder
+of such banded operators, for this resampling and for the ``gb``/``af``
+attack filters alike: it cuts an operator into bands of rows restricted to
+their nonzero columns and caches one block per band, which both multiply
+along x through the same transposed view. Likewise ``gaussian_taps`` is the
+one Gaussian-kernel builder (the 3x3 smoothing here, the ``gb`` blur there)
+and ``to_u8`` the one rounding of computed pixels back to uint8 frames, for
+the attacks and the synthetic corpus.
+
+``normalize_clip`` resamples nothing: its ``NormalizedClip`` keeps the
+source frames and the two axis bands, and one producer
+(``NormalizedClip._block``) makes up to 4 planes (``_MAKE``) at a time when
+a caller asks for them, into one worker's scratch.
+``features.extract_feature`` asks for each plane once and consumes it while
+it is still warm, so no clip is ever held as a whole ``(U, 320, 320)``
+stack; ``NormalizedClip.planes`` and ``.volume`` build one on demand. The
+work goes to up to two threads (``_WORKERS``, ``_run_blocks``), each worker
+with its own scratch. A y-band is one stacked product over the planes of a
+producer call, so the threads make fewer, longer calls than one plane at a
+time would, which trade the interpreter lock back and forth. The producer
+clips each output band to [0, 1] as it is written, and a clip built by hand
+from a stored stack is checked in full.
 """
 
 from __future__ import annotations
@@ -57,8 +63,11 @@ _FRAME_RE = re.compile(r"frame_(\d{6})\.(pgm|ppm)$")
 # multi-threaded call OpenBLAS's idle worker spins on a CPU for ~0.1 s, which
 # the extraction that follows would have to share.
 _BAND = 32
-# planes per pass of normalize_clip and of extract_feature's per-pixel stages
+# planes per pass of extract_feature's per-pixel stages
 _BLOCK = 8
+# planes per call of the plane producer: four 320x320 planes (3.3 MB) and
+# their x-passes, read back while they are still near the core that made them
+_MAKE = 4
 # threads that the blocks are handed to: the usable CPUs, at most 2
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -106,37 +115,129 @@ class FrameSequence:
         return len(self.frames)
 
 
-@dataclass
 class NormalizedClip:
     """A clip resampled to 100 temporal slots of 320x320 luminance in [0, 1].
 
-    Stored frame-major: ``planes`` is a C-contiguous ``(U, 320, 320)``
-    float64 array of the U distinct source frames the slots pick, and
-    ``picks[k]`` is the plane of slot k. A 64-frame clip holds 64 planes, not
-    100, and every per-pixel stage downstream runs once per plane.
+    Frame-major: the clip has one plane per distinct source frame that the
+    slots pick (``len(clip)`` of them), and ``picks[k]`` is the plane of slot
+    k. A 64-frame clip has 64 planes, not 100, and every per-pixel stage
+    downstream runs once per plane.
+
+    The planes are made on demand by one producer, ``_block``. A clip from
+    ``normalize_clip`` holds no plane: it keeps the source frames, the
+    distinct frames the slots pick and the two axis bands, and makes the
+    planes a caller asks for, ``_MAKE`` at a time, into a worker's scratch
+    (``_scratch``, read through ``_stream``) or an array the caller owns
+    (``_planes_at``); ``features.extract_feature`` makes each plane once. A
+    clip built from a stored ``(U, 320, 320)`` stack, checked in full,
+    yields views of it. ``planes`` and ``volume`` build the whole stack on
+    each call of a clip that holds none.
     """
 
-    planes: np.ndarray
-    picks: np.ndarray
-
-    def __post_init__(self):
-        if self.planes.ndim != 3 or self.planes.shape[1:] != (VOLUME_SIZE, VOLUME_SIZE):
-            raise ValueError(f"plane stack shape {self.planes.shape} is not (U, {VOLUME_SIZE}, {VOLUME_SIZE})")
-        if self.picks.shape != (VOLUME_FRAMES,):
-            raise ValueError(f"picks shape {self.picks.shape} != ({VOLUME_FRAMES},)")
-        if self.picks.min() < 0 or self.picks.max() >= len(self.planes):
-            raise ValueError(f"picks outside the {len(self.planes)} planes")
-        if not (self.planes.min() >= 0.0 and self.planes.max() <= 1.0):  # NaN fails too
+    def __init__(self, planes: np.ndarray, picks: np.ndarray):
+        if planes.ndim != 3 or planes.shape[1:] != (VOLUME_SIZE, VOLUME_SIZE):
+            raise ValueError(f"plane stack shape {planes.shape} is not (U, {VOLUME_SIZE}, {VOLUME_SIZE})")
+        if picks.shape != (VOLUME_FRAMES,):
+            raise ValueError(f"picks shape {picks.shape} != ({VOLUME_FRAMES},)")
+        if picks.min() < 0 or picks.max() >= len(planes):
+            raise ValueError(f"picks outside the {len(planes)} planes")
+        if not (planes.min() >= 0.0 and planes.max() <= 1.0):  # NaN fails too
             raise ValueError("plane values outside [0, 1]")
+        self._stack, self.picks = planes, picks
 
     @classmethod
     def _trusted(cls, planes: np.ndarray, picks: np.ndarray) -> NormalizedClip:
-        """A clip of fields that ``normalize_clip`` has just built, shaped and
-        clipped to [0, 1]: set as they are, without the checks (the range
-        check alone is two more passes over the planes)."""
+        """A clip of a stored stack, set as it is, without the checks: for
+        planes already shaped and in [0, 1], or of a reduced geometry."""
         clip = object.__new__(cls)
-        clip.planes, clip.picks = planes, picks
+        clip._stack, clip.picks = planes, picks
         return clip
+
+    @classmethod
+    def _resampled(cls, seq: FrameSequence, sources: np.ndarray, picks: np.ndarray) -> NormalizedClip:
+        """The clip of ``seq`` whose plane k is source frame ``sources[k]``
+        resampled (see ``normalize_clip``), holding no plane."""
+        clip = object.__new__(cls)
+        clip._stack, clip.picks, clip._seq, clip._sources = None, picks, seq, sources
+        clip._y_bands = _operator_bands(seq.height, VOLUME_SIZE, gaussian_taps(3, 0.5))
+        clip._x_bands = _operator_bands(seq.width, VOLUME_SIZE, gaussian_taps(3, 0.5))
+        return clip
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the plane stack, ``(len(clip), 320, 320)``."""
+        return (len(self._sources), VOLUME_SIZE, VOLUME_SIZE) if self._stack is None else self._stack.shape
+
+    def _scratch(self, workers: int) -> list:
+        """One producer scratch per worker: a gray source frame, and the
+        x-passes and planes of one producer call, each worker's in one array
+        with the others' (None for a stored stack, which needs none)."""
+        if self._stack is not None:
+            return [None] * workers
+        h, w, n = self._seq.height, self._seq.width, min(_MAKE, len(self))
+        return list(zip(np.empty((workers, h, w)), np.empty((workers, n, h, VOLUME_SIZE)),
+                        np.empty((workers, n, VOLUME_SIZE, VOLUME_SIZE))))
+
+    def _block(self, ks, scratch, out: np.ndarray | None = None):
+        """Planes ``ks``, at most ``_MAKE`` of them, from the one producer of
+        planes: views of a stored stack, or made into ``out`` (by default the
+        planes of ``scratch``, one worker's ``_scratch``). Each source frame
+        is converted to luminance (a gray one into the scratch frame) and
+        multiplied by each x-band into its x-pass; then each y-band is one
+        stacked product over the x-passes into its rows of the planes,
+        clipped to [0, 1] while still in cache. The stacked product is one
+        gemm per plane, the same as a single plane's, so a plane does not
+        depend on the planes made with it, its place among them or the
+        worker."""
+        if self._stack is not None:
+            return [self._stack[k] for k in ks]
+        src, xs, planes = scratch
+        xs = xs[: len(ks)]
+        for k, x in zip(ks, xs):
+            frame = self._seq.frames[self._sources[k]]
+            lum = to_luminance(frame, src) if frame.ndim == 3 else np.divide(frame, 255.0, out=src)
+            for r0, r1, c0, c1, band in self._x_bands:
+                np.matmul(lum[:, c0:c1], band.T, out=x[:, r0:r1])
+        out = (planes if out is None else out)[: len(ks)]
+        for r0, r1, c0, c1, band in self._y_bands:
+            rows = out[:, r0:r1]
+            np.matmul(band, xs[:, c0:c1], out=rows)
+            np.clip(rows, 0.0, 1.0, out=rows)
+        return out
+
+    def _stream(self, ks, scratch):
+        """Planes ``ks`` in order, each one good until the next is read:
+        views of a stored stack, or made ``_MAKE`` at a time into
+        ``scratch``."""
+        for a in range(0, len(ks), _MAKE):
+            yield from self._block(ks[a : a + _MAKE], scratch)
+
+    def _planes_at(self, ks: np.ndarray, scratch: list):
+        """Planes ``ks``: views of a stored stack, or one new ``(len(ks), 320,
+        320)`` array, an equal run of it (to one plane) made on each worker of
+        ``scratch``, ``_MAKE`` planes at a time."""
+        if self._stack is not None:
+            return self._block(ks, None)
+        out = np.empty((len(ks), VOLUME_SIZE, VOLUME_SIZE))
+
+        def make(w: int, start: int, stop: int) -> None:
+            for a in range(start, stop, _MAKE):
+                b = min(a + _MAKE, stop)
+                self._block(ks[a:b], scratch[w], out[a:b])
+
+        _run_blocks(len(ks), len(scratch), make, size=-(-len(ks) // len(scratch)))
+        return out
+
+    @property
+    def planes(self) -> np.ndarray:
+        """The ``(len(clip), 320, 320)`` plane stack: the stored one, or
+        built on each call."""
+        if self._stack is not None:
+            return self._stack
+        return self._planes_at(np.arange(len(self)), self._scratch(_block_workers(len(self))))
 
     @property
     def volume(self) -> np.ndarray:
@@ -290,13 +391,18 @@ def save_clip(path: str | Path, seq: FrameSequence) -> None:
 # normalization to the 320x320x100 working volume
 # ---------------------------------------------------------------------------
 
-def to_luminance(frame: np.ndarray) -> np.ndarray:
-    """Rec.601 luminance of an 8-bit RGB frame, scaled to [0, 1]."""
+def to_luminance(frame: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rec.601 luminance of an 8-bit RGB frame, scaled to [0, 1]:
+    ``(wr * r + wg * g + wb * b) / 255`` in that order, summed into ``out``
+    (a new array by default) with one temporary."""
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ValueError("to_luminance expects an (h, w, 3) RGB frame")
-    r, g, b = (frame[:, :, c].astype(np.float64) for c in range(3))
-    wr, wg, wb = LUMA_WEIGHTS
-    return (wr * r + wg * g + wb * b) / 255.0
+    y = np.multiply(frame[:, :, 0], LUMA_WEIGHTS[0], out=out, dtype=np.float64)
+    tmp = np.empty_like(y)
+    for c in (1, 2):
+        y += np.multiply(frame[:, :, c], LUMA_WEIGHTS[c], out=tmp, dtype=np.float64)
+    y /= 255.0
+    return y
 
 
 def bilinear_matrix(n_src: int, n_dst: int) -> np.ndarray:
@@ -326,8 +432,10 @@ def temporal_indices(n_src: int, n_dst: int = VOLUME_FRAMES) -> np.ndarray:
 
 def to_u8(x: np.ndarray) -> np.ndarray:
     """Round to the nearest integer (half to even) and clamp to uint8: the one
-    conversion of computed pixel values back to 8-bit frames."""
-    return np.clip(np.rint(x), 0, 255).astype(np.uint8)
+    conversion of computed pixel values back to 8-bit frames. Rounds and
+    clamps in one temporary."""
+    r = np.rint(x)
+    return np.clip(r, 0, 255, out=r).astype(np.uint8)
 
 
 def gaussian_taps(window: int, sigma: float) -> tuple[float, ...]:
@@ -380,15 +488,16 @@ def _block_workers(count: int) -> int:
     return min(_WORKERS, -(-count // _BLOCK))
 
 
-def _run_blocks(count: int, workers: int, block: Callable[[int, int], None]) -> None:
-    """Call ``block(w, start)`` for every block ``start`` in
-    ``range(0, count, _BLOCK)``, the blocks round-robin over ``workers``
-    threads (worker ``w`` takes blocks w, w + workers, ...). One worker runs
-    inline. The caller allocates every buffer and gives each worker its own,
-    so a block's arithmetic is the same whichever worker runs it."""
+def _run_blocks(count: int, workers: int, block: Callable[[int, int, int], None], size: int = _BLOCK) -> None:
+    """Call ``block(w, start, stop)`` for every block ``start:stop`` of
+    ``size`` items (the last one shorter) in ``range(count)``, the blocks
+    round-robin over ``workers`` threads (worker ``w`` takes blocks w,
+    w + workers, ...). One worker runs inline. The caller allocates every
+    buffer and gives each worker its own, so a block's arithmetic is the same
+    whichever worker runs it."""
     def work(w: int) -> None:
-        for start in range(w * _BLOCK, count, workers * _BLOCK):
-            block(w, start)
+        for start in range(w * size, count, workers * size):
+            block(w, start, min(start + size, count))
 
     if workers == 1:
         work(0)
@@ -412,40 +521,12 @@ def normalize_clip(seq: FrameSequence) -> NormalizedClip:
     (the Gaussian's times ``bilinear_matrix``), and each distinct picked frame
     is ``m_y @ plane @ m_x.T``. Each operator is nonzero only near its
     diagonal; ``_operator_bands`` caches it per source side as bands. The
-    distinct frames go in blocks of ``_BLOCK`` round-robin to ``_WORKERS``
-    threads (``_run_blocks``). A worker converts one frame of its block at a
-    time (a gray one into its ``(h, w)`` scratch) and runs one product per
-    x-band into its ``(_BLOCK, h, 320)`` scratch; then each y-band is one
-    stacked product over the block, written straight into those rows of the
-    block's contiguous planes and clipped to [0, 1] while still in cache. The
-    stacked product is one gemm per plane, the same as a single plane's, so
-    the planes do not depend on the worker count. The slots that repeat a
-    frame share its plane through ``picks``. For sides up to 320 every band
-    product stays on one OpenBLAS thread; larger sides give the same planes
-    but may use BLAS threads.
+    slots that repeat a frame share its plane through ``picks``. Nothing is
+    resampled here: the clip keeps the frames and the bands, and its
+    producer (``NormalizedClip._block``) makes the planes when they are
+    read, in blocks on the ``_run_blocks`` workers. For sides up to 320 every
+    band product stays on one OpenBLAS thread; larger sides give the same
+    planes but may use BLAS threads.
     """
-    h, w = seq.height, seq.width
-    y_bands = _operator_bands(h, VOLUME_SIZE, gaussian_taps(3, 0.5))
-    x_bands = _operator_bands(w, VOLUME_SIZE, gaussian_taps(3, 0.5))
     sources, picks = np.unique(temporal_indices(len(seq)), return_inverse=True)
-    planes = np.empty((len(sources), VOLUME_SIZE, VOLUME_SIZE), dtype=np.float64)
-    workers = _block_workers(len(sources))
-    src = np.empty((workers, h, w), dtype=np.float64)
-    tmp = np.empty((workers, min(_BLOCK, len(sources)), h, VOLUME_SIZE), dtype=np.float64)
-
-    def block(wk: int, start: int) -> None:
-        ks = sources[start : start + _BLOCK]
-        xs = tmp[wk, : len(ks)]
-        for k, x in zip(ks, xs):
-            frame = seq.frames[k]
-            plane = to_luminance(frame) if frame.ndim == 3 else np.divide(frame, 255.0, out=src[wk])
-            for r0, r1, c0, c1, band in x_bands:
-                np.matmul(plane[:, c0:c1], band.T, out=x[:, r0:r1])
-        out = planes[start : start + len(ks)]
-        for r0, r1, c0, c1, band in y_bands:
-            rows = out[:, r0:r1]
-            np.matmul(band, xs[:, c0:c1], out=rows)
-            np.clip(rows, 0.0, 1.0, out=rows)
-
-    _run_blocks(len(sources), workers, block)
-    return NormalizedClip._trusted(planes, picks)
+    return NormalizedClip._resampled(seq, sources, picks)

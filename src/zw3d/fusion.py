@@ -98,14 +98,16 @@ def _gram_eps(n: int, sq_norm):
 
 def _fuse(s1, s2, gamma: float):
     """The fusion formula of ``fuse_scores``, elementwise over arrays; a
-    score at or below 0 gives 0."""
+    score at or below 0 gives 0, and so do two scores whose reciprocals both
+    overflow (below about 5.6e-309), the formula's limit, where ``inf - inf``
+    would give NaN."""
     if gamma <= -1:
         raise ValueError("gamma must be > -1")
     s1, s2 = np.asarray(s1, dtype=np.float64), np.asarray(s2, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r1, r2 = 1.0 / s1, 1.0 / s2
         fused = 1.0 / (0.5 * ((r1 + r2) + np.abs(r1 - r2) / (1.0 + gamma)))
-    return np.where((s1 <= 0) | (s2 <= 0), 0.0, fused)
+    return np.where((s1 <= 0) | (s2 <= 0) | (np.isinf(r1) & np.isinf(r2)), 0.0, fused)
 
 
 def _fused_eps(fused: np.ndarray, eps_2d: float, eps_depth: float, gamma: float) -> float:

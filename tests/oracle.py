@@ -162,10 +162,13 @@ def brute_distance(a, b):
 def brute_fuse(s1, s2, gamma):
     if s1 == 0 or s2 == 0:
         return 0.0
-    x1 = 1.0 / s1 + 1.0 / s2
+    r1, r2 = 1.0 / s1, 1.0 / s2
+    if r1 == r2 == math.inf:  # both reciprocals overflow: the formula's limit
+        return 0.0
+    x1 = r1 + r2
     if x1 == 0:  # both scores infinite: the formula's limit
         return math.inf
-    x2 = abs(1.0 / s1 - 1.0 / s2)
+    x2 = abs(r1 - r2)
     return 1.0 / (0.5 * (x1 + x2 / (1.0 + gamma)))
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -337,6 +338,77 @@ def test_worker_threads_share_no_buffer():
             with mock.patch.object(frameio, "_WORKERS", workers):
                 for _ in range(10):
                     assert extract_feature(vol, MANY_FRAMES).values.tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# a clip from normalize_clip holds no plane: extract_feature makes the sampled
+# planes first, then every other plane block by block on the workers. Its
+# features and planes must be the bytes of the clip of its stored stack.
+
+@settings(derandomize=True, deadline=None, max_examples=16, database=None)
+@given(n=st.sampled_from([1, 2, 7, 19]) | st.integers(1, 130),
+       h=st.integers(0, 30).map(lambda k: 2 * k + 1), w=st.integers(0, 30).map(lambda k: 2 * k + 1),
+       colour=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_streamed_clip_equals_its_stored_stack(n, h, w, colour, seed):
+    rng = np.random.default_rng(seed)
+    seq = FrameSequence([rng.integers(0, 256, size=(h, w, 3) if colour else (h, w), dtype=np.uint8)
+                         for _ in range(n)], "2d")
+    clip = normalize_clip(seq)
+    stored = NormalizedClip(clip.planes, clip.picks)
+    expected = extract_feature(stored).values.tobytes()
+    for workers in (1, 2):
+        with mock.patch.object(frameio, "_WORKERS", workers):
+            assert clip.planes.tobytes() == stored.planes.tobytes()
+            assert extract_feature(clip).values.tobytes() == expected
+            assert compute_tiri(clip).tobytes() == compute_tiri(stored).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_extraction_holds_the_sampled_planes_and_the_worker_buffers(workers):
+    # 120 colour frames of 128 x 128 pick 100 planes (78 MiB as a stack); the
+    # extraction holds only the 20 sampled ones and each worker's buffers: the
+    # producer's scratch (a luminance frame and its temporary, and the
+    # x-passes and planes of one producer call) and the block's ring-ordered
+    # pixels plus one deviation row
+    h = w = 128
+    rng = np.random.default_rng(21)
+    seq = FrameSequence([rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8) for _ in range(120)], "2d")
+    flat, _ = _ring_plan(DEFAULT_PARAMS)
+    block, make, plane = frameio._BLOCK, frameio._MAKE, 320 * 320
+    sampled = 20 * plane * 8
+    buffers = workers * (2 * h * w + make * (h * 320 + plane) + (block + 1) * len(flat)) * 8
+    # the reference image, its neighbourhood extremes, four ring-ordered
+    # vectors, and 1 MiB per worker for the centroid rows, the Python objects
+    # and numpy's own temporaries
+    rest = (2 * plane + 4 * len(flat)) * 8 + workers * 2**20
+    with mock.patch.object(frameio, "_WORKERS", workers):
+        extract_feature(normalize_clip(seq))  # plans and bands cached outside the trace
+        tracemalloc.start()
+        try:
+            extract_feature(normalize_clip(seq))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= sampled + buffers + rest
+
+
+def test_streamed_workers_share_no_buffer():
+    # more workers than CPUs, and a thread switch every microsecond: a plane
+    # made in another worker's scratch, or read before it is made, changes
+    # the bits
+    rng = np.random.default_rng(22)
+    clip = normalize_clip(FrameSequence([rng.integers(0, 256, size=(41, 57), dtype=np.uint8)
+                                         for _ in range(37)], "2d"))  # 37 planes: 5 blocks of 8
+    with mock.patch.object(frameio, "_WORKERS", 1):
+        expected = extract_feature(clip).values.tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 5):
+            with mock.patch.object(frameio, "_WORKERS", workers):
+                for _ in range(5):
+                    assert extract_feature(clip).values.tobytes() == expected
     finally:
         sys.setswitchinterval(interval)
 

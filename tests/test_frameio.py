@@ -369,14 +369,14 @@ def test_planes_equal_the_band_products_to_the_bit(workers):
         shape = (h, w, 3) if i % 3 == 0 else (h, w)
         frames = [rng.integers(0, 256, size=shape, dtype=np.uint8) for _ in range(9)]  # 2 blocks
         with mock.patch.object(frameio, "_WORKERS", workers):
-            clip = normalize_clip(make_seq(frames))
-        assert len(clip.planes) == len(frames)
-        for frame, plane in zip(frames, clip.planes):
+            planes = normalize_clip(make_seq(frames)).planes
+        assert len(planes) == len(frames)
+        for frame, plane in zip(frames, planes):
             assert (plane == _band_reference(frame)).all(), (h, w)
 
 
-# normalize_clip hands blocks of _BLOCK source frames round-robin to the
-# workers; each block's products are the same whichever worker runs them
+# a clip's planes are made in an equal run per worker, _MAKE source frames at
+# a time; each plane's products are the same whichever worker runs them
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(n=st.integers(1, 40), h=st.integers(1, 200), w=st.integers(1, 200),
@@ -384,18 +384,18 @@ def test_planes_equal_the_band_products_to_the_bit(workers):
 def test_planes_do_not_depend_on_the_worker_count(n, h, w, colour, seed):
     rng = np.random.default_rng(seed)
     frames = [rng.integers(0, 256, size=(h, w, 3) if colour else (h, w), dtype=np.uint8) for _ in range(n)]
-    clips = {}
+    clip = normalize_clip(make_seq(frames))
+    planes = {}
     for workers in (1, 2, 3):
         with mock.patch.object(frameio, "_WORKERS", workers):
-            clips[workers] = normalize_clip(make_seq(frames))
+            planes[workers] = clip.planes
     for workers in (2, 3):
-        assert clips[workers].planes.tobytes() == clips[1].planes.tobytes()
-        assert clips[workers].picks.tobytes() == clips[1].picks.tobytes()
+        assert planes[workers].tobytes() == planes[1].tobytes()
     m_y, m_x = _dense_operator(h), _dense_operator(w)
     expected = {k: np.clip(m_y @ (to_luminance(frames[k]) if colour else frames[k] / 255.0) @ m_x.T, 0.0, 1.0)
                 for k in np.unique(temporal_indices(n))}
     for slot, k in enumerate(temporal_indices(n)):
-        assert np.abs(clips[1].planes[clips[1].picks[slot]] - expected[k]).max() <= 1e-13
+        assert np.abs(planes[1][clip.picks[slot]] - expected[k]).max() <= 1e-13
 
 
 def test_normalize_workers_share_no_buffer():
@@ -417,8 +417,9 @@ def test_normalize_workers_share_no_buffer():
 
 
 def test_normalize_scratch_does_not_scale_with_the_block():
-    # each worker holds one (h, w) source plane and one (_BLOCK, h, 320)
-    # x-stage scratch; a source buffer of block x h x w would exceed the bound
+    # normalize_clip makes no plane. The producer's scratch per worker is one
+    # (h, w) source plane, and the x-passes and planes of one producer call; a
+    # source buffer of _MAKE x h x w would exceed the bound
     h, w, n = 1080, 1920, 4
     seq = make_seq([np.full((h, w), 17 * k, dtype=np.uint8) for k in range(n)])
     for side in (h, w):  # cached per side, built outside the trace
@@ -426,16 +427,21 @@ def test_normalize_scratch_does_not_scale_with_the_block():
     tracemalloc.start()
     try:
         clip = normalize_clip(seq)
+        made = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        planes = clip.planes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    scratch = frameio._block_workers(n) * (h * w + frameio._BLOCK * h * 320) * 8
+    assert made <= 2**16
+    make = min(frameio._MAKE, n)
+    scratch = frameio._block_workers(n) * (h * w + make * (h * 320 + 320 * 320)) * 8
     per_plane = 2 * h * w * 8  # room for two float64 temporaries of one frame
-    assert peak <= clip.planes.nbytes + scratch + per_plane
+    assert peak <= planes.nbytes + scratch + per_plane
 
 
-# normalize_clip builds its clip through the trusted constructor, which skips
-# the [0, 1] check above: its own clip has to keep the extremes in range
+# a clip from normalize_clip skips the [0, 1] check above: the planes its
+# producer makes have to keep the extremes in range
 _EXTREMES = {
     "all-0": np.zeros((24, 40), dtype=np.uint8),
     "all-255": np.full((24, 40), 255, dtype=np.uint8),

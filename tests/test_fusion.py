@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,22 @@ def test_infinite_threshold_matches_every_record():
     fn = rng.standard_normal(16)
     assert score_record(q, q, fn, fn, th, "independent")[3] != "no-match"
     assert score_record(q, q, fn, fn, th, "fused")[3] == "match-fused"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fused_distance_of_two_subnormal_scores_is_the_limit(mode):
+    # both channel distances are about 1e-312: their reciprocals overflow, and
+    # inf - inf in the formula gave NaN, which no threshold matches
+    q, zero = np.full(1600, 1e-156), np.zeros(1600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        assert fusion._fuse(1e-310, 2e-310, 0.1) == brute_fuse(1e-310, 2e-310, 0.1) == 0.0
+        found = match_query(q, q, FakeRegistry([("z", zero, zero)]), Thresholds(np.inf, np.inf, np.inf), mode)
+    assert [(r.record_id, r.d_fused) for r in found] == [("z", 0.0)]
+    assert found[0].decision == ("match-fused" if mode == "fused" else "match-2d")
+    expected = brute_match(q, q, [("z", zero, zero)], np.inf, np.inf, np.inf, 0.1, mode)
+    assert [(rid, a, b, f, decision) for rid, a, b, f, decision in expected] == [
+        (r.record_id, r.d_2d, r.d_depth, r.d_fused, r.decision) for r in found]
 
 
 # -- Gram/matvec paths against the brute-force loops ------------------------------

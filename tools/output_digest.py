@@ -10,6 +10,10 @@ fixed synthetic clips, in this order:
 - the frames of all 26 ``attack_catalog`` attacks on each channel,
 - the left and right ``synthesize_clip`` views at baselines 0.05 and 0.07;
 
+then the ``extract_feature`` values of both channels of the first clip once
+more, with ``frameio._WORKERS = 1``, the path a one-CPU machine takes (the
+features above run on every usable CPU, at most two);
+
 then, over one fixed in-memory registry of 300 z-scored records (more than
 ``fusion.BLOCK_ROWS``, so a query crosses a block boundary) holding exact
 duplicates under other ids and all-zero features:
@@ -71,6 +75,7 @@ def digest() -> str:
     """The digest of the zw3d that this process imports."""
     import numpy as np
 
+    from zw3d import frameio
     from zw3d.attacks import apply_attack, attack_catalog
     from zw3d.corpus import make_clip
     from zw3d.dibr import BaselineConfig, synthesize_clip
@@ -86,9 +91,12 @@ def digest() -> str:
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(a.tobytes())
 
-    for seed, frames, height, width, colour in CLIPS:
-        pair = [FrameSequence([f[:height, :width] for f in seq.frames], seq.role)
+    def clip_pair(seed, frames, height, width, colour):
+        return [FrameSequence([f[:height, :width] for f in seq.frames], seq.role)
                 for seq in make_clip(seed, frames=frames, size=max(height, width), color=colour)]
+
+    for seed, frames, height, width, colour in CLIPS:
+        pair = clip_pair(seed, frames, height, width, colour)
         for seq in pair:
             add(*seq.frames)
         for seq in pair:
@@ -100,6 +108,13 @@ def digest() -> str:
         for baseline in BASELINES:
             for view in synthesize_clip(*pair, BaselineConfig(baseline_fraction=baseline)):
                 add(*view.frames)
+
+    workers, frameio._WORKERS = frameio._WORKERS, 1
+    try:
+        for seq in clip_pair(*CLIPS[0]):
+            add(extract_feature(normalize_clip(seq)).values)
+    finally:
+        frameio._WORKERS = workers
 
     rows = registry_rows(np)
     db = SimpleNamespace(iterate_features=lambda: iter(rows))
